@@ -27,7 +27,13 @@ ExchangeOperator::ExchangeOperator(Schema output_schema,
   VSTORE_CHECK(degree_ > 0);
 }
 
-ExchangeOperator::~ExchangeOperator() { Close(); }
+ExchangeOperator::~ExchangeOperator() {
+  Close();
+  // The factory's captures (shared hash-join builds) hold trackers and
+  // pressure listeners parented on a fragment tracker: release them while
+  // fragment_trackers_ is still alive.
+  factory_ = nullptr;
+}
 
 Status ExchangeOperator::OpenImpl() {
   cancelled_ = false;
@@ -140,7 +146,6 @@ void ExchangeOperator::RunFragment(int fragment) {
     ctx_->trace_recorder->EndSpan(fragment_span);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  ctx_->stats.MergeFrom(fctx->stats);
   if (!status.ok() && first_error_.ok()) first_error_ = status;
   if (--active_producers_ == 0) queue_ready_.notify_all();
   else queue_ready_.notify_all();
@@ -180,6 +185,9 @@ void ExchangeOperator::CloseImpl() {
     if (t.joinable()) t.join();
   }
   workers_.clear();
+  // Fragment stats merge only now: operators above the exchange update
+  // ctx_->stats on this thread, unsynchronized, while fragments run.
+  for (auto& fctx : fragment_ctxs_) ctx_->stats.MergeFrom(fctx->stats);
   std::queue<std::unique_ptr<Batch>>().swap(queue_);
   current_.reset();
   // Workers are joined: every fragment operator (and its child tracker) is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/macros.h"
 #include "common/metrics.h"
@@ -93,6 +94,271 @@ void JoinRowEmitter::EmitFromSerialized(Batch* output,
   }
 }
 
+JoinBuildTable::JoinBuildTable(const Schema& schema, const RowFormat& format,
+                               const HashJoinOptions& options,
+                               int64_t memory_budget, MemoryTracker* mem,
+                               MemoryTracker* query_tracker)
+    : schema_(schema),
+      format_(format),
+      options_(options),
+      memory_budget_(memory_budget),
+      partition_shift_(
+          64 - std::countr_zero(static_cast<unsigned>(options.num_partitions))),
+      mem_(mem),
+      query_tracker_(query_tracker),
+      partitions_(static_cast<size_t>(options.num_partitions)) {
+  for (Partition& part : partitions_) {
+    part.arena = std::make_unique<Arena>();
+    part.arena->SetMemoryTracker(mem_);
+  }
+  if (query_tracker_ != nullptr) {
+    pressure_listener_ = query_tracker_->AddPressureListener(
+        [this] { pressure_.store(true, std::memory_order_relaxed); });
+  }
+}
+
+JoinBuildTable::~JoinBuildTable() {
+  if (pressure_listener_ != 0) {
+    query_tracker_->RemovePressureListener(pressure_listener_);
+  }
+  for (Partition& part : partitions_) {
+    if (part.build_file != nullptr) std::fclose(part.build_file);
+    if (part.probe_file != nullptr) std::fclose(part.probe_file);
+  }
+}
+
+bool JoinBuildTable::QueryMemoryPressure() const {
+  if (pressure_.exchange(false, std::memory_order_relaxed)) return true;
+  return query_tracker_ != nullptr && query_tracker_->over_budget();
+}
+
+Status JoinBuildTable::SpillRowLocked(std::FILE* f, const Schema& schema,
+                                      const std::vector<Value>& row) {
+  int64_t bytes = 0;
+  VSTORE_RETURN_IF_ERROR(WriteSpillRow(f, schema, row, &bytes));
+  spill_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  AddGlobalSpillBytes(bytes);
+  return Status::OK();
+}
+
+Status JoinBuildTable::InsertBatch(const Batch& batch, Inserter* ins,
+                                   ExecContext* ctx) {
+  const int64_t n = batch.num_rows();
+  const uint8_t* active = batch.active();
+  ins->hashes.resize(static_cast<size_t>(n));
+  HashKeysBatch(batch, options_.build_keys, active, ins->hashes.data());
+
+  // Keep the active rows with no NULL key (those can never join) and count
+  // them per partition, then counting-sort them into per-partition runs.
+  const size_t np = partitions_.size();
+  ins->run_start.assign(np + 1, 0);
+  ins->kept.clear();
+  for (int64_t i = 0; i < n; ++i) {
+    if (!active[i]) continue;
+    bool null_key = false;
+    for (int k : options_.build_keys) {
+      null_key |= batch.column(k).validity()[i] == 0;
+    }
+    if (null_key) continue;
+    ins->kept.push_back(static_cast<uint32_t>(i));
+    ++ins->run_start[static_cast<size_t>(PartitionOf(ins->hashes[i])) + 1];
+  }
+  for (size_t p = 0; p < np; ++p) ins->run_start[p + 1] += ins->run_start[p];
+  ins->run_fill.assign(ins->run_start.begin(), ins->run_start.end() - 1);
+  ins->runs.resize(ins->kept.size());
+  for (uint32_t i : ins->kept) {
+    const size_t p = static_cast<size_t>(PartitionOf(ins->hashes[i]));
+    ins->runs[ins->run_fill[p]++] = i;
+  }
+  ins->rows += static_cast<int64_t>(ins->kept.size());
+
+  // One lock acquisition per partition run. Runs whose partition lock is
+  // busy are retried round-robin after the free ones; the inserter blocks
+  // only when a whole round found every remaining lock held, and only
+  // those waits count toward the lock-wait timer.
+  int64_t grew = 0;
+  std::vector<size_t>& pending = ins->pending;
+  pending.clear();
+  for (size_t p = 0; p < np; ++p) {
+    if (ins->run_start[p + 1] > ins->run_start[p]) pending.push_back(p);
+  }
+  while (!pending.empty()) {
+    size_t busy = 0;
+    for (size_t p : pending) {
+      std::unique_lock<std::mutex> lock(partitions_[p].mu, std::try_to_lock);
+      if (lock.owns_lock()) {
+        VSTORE_RETURN_IF_ERROR(AppendRunLocked(batch, *ins, p, ctx, &grew));
+      } else {
+        pending[busy++] = p;
+      }
+    }
+    if (busy == pending.size()) {
+      const size_t p = pending[--busy];
+      const int64_t wait_start = MonotonicNowNs();
+      std::lock_guard<std::mutex> lock(partitions_[p].mu);
+      ins->lock_wait_ns += MonotonicNowNs() - wait_start;
+      VSTORE_RETURN_IF_ERROR(AppendRunLocked(batch, *ins, p, ctx, &grew));
+    }
+    pending.resize(busy);
+  }
+
+  const int64_t total =
+      total_bytes_.fetch_add(grew, std::memory_order_relaxed) + grew;
+  int64_t peak = peak_bytes_.load(std::memory_order_relaxed);
+  while (total > peak && !peak_bytes_.compare_exchange_weak(
+                             peak, total, std::memory_order_relaxed)) {
+  }
+  // Spill outside the partition locks: MaybeSpill takes spill_mu_ first and
+  // then the victim's lock.
+  const bool query_pressure = QueryMemoryPressure();
+  if (query_pressure || (memory_budget_ > 0 && total > memory_budget_)) {
+    return MaybeSpill(ctx, query_pressure);
+  }
+  return Status::OK();
+}
+
+Status JoinBuildTable::AppendRunLocked(const Batch& batch,
+                                       const Inserter& ins, size_t p,
+                                       ExecContext* ctx, int64_t* grew) {
+  Partition& part = partitions_[p];
+  const uint32_t* run = ins.runs.data() + ins.run_start[p];
+  const int64_t len = ins.run_start[p + 1] - ins.run_start[p];
+  if (part.spilled) {
+    for (int64_t r = 0; r < len; ++r) {
+      VSTORE_RETURN_IF_ERROR(SpillRowLocked(part.build_file, schema_,
+                                            batch.GetActiveRow(run[r])));
+    }
+    part.build_rows_on_disk += len;
+    ctx->stats.build_rows_spilled += len;
+    build_rows_spilled_.fetch_add(len, std::memory_order_relaxed);
+    return Status::OK();
+  }
+  const size_t entry_size =
+      SerializedRowHashTable::kHeaderSize + format_.row_size();
+  for (int64_t r = 0; r < len; ++r) {
+    uint8_t* entry = part.arena->Allocate(entry_size);
+    format_.Write(entry + SerializedRowHashTable::kHeaderSize, batch, run[r],
+                  part.arena.get());
+    std::memcpy(entry + 8, &ins.hashes[run[r]], sizeof(uint64_t));
+    part.rows.push_back(entry);
+  }
+  const int64_t bytes = static_cast<int64_t>(part.arena->bytes_allocated());
+  *grew += bytes - part.bytes.load(std::memory_order_relaxed);
+  part.bytes.store(bytes, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status JoinBuildTable::MaybeSpill(ExecContext* ctx, bool query_pressure) {
+  std::lock_guard<std::mutex> spill_lock(spill_mu_);
+  // Another thread may have flushed partitions while we waited. A query
+  // budget crossing always sheds one victim — the build cannot observe
+  // whether an unrelated release has since taken the query back under.
+  bool shed = query_pressure;
+  for (;;) {
+    const bool over_budget =
+        memory_budget_ > 0 &&
+        total_bytes_.load(std::memory_order_relaxed) > memory_budget_;
+    if (!shed && !over_budget) return Status::OK();
+    // `spilled` only flips under spill_mu_ (plus the partition lock), so
+    // this scan needs no partition locks; `bytes` is an atomic mirror.
+    Partition* victim = nullptr;
+    int64_t victim_bytes = 0;
+    for (Partition& cand : partitions_) {
+      const int64_t bytes = cand.bytes.load(std::memory_order_relaxed);
+      if (!cand.spilled && bytes > victim_bytes) {
+        victim = &cand;
+        victim_bytes = bytes;
+      }
+    }
+    if (victim == nullptr) return Status::OK();  // nothing left to shed
+    {
+      std::lock_guard<std::mutex> part_lock(victim->mu);
+      VSTORE_RETURN_IF_ERROR(SpillPartitionLocked(victim, ctx));
+    }
+    shed = QueryMemoryPressure();
+  }
+}
+
+Status JoinBuildTable::SpillPartitionLocked(Partition* part,
+                                            ExecContext* ctx) {
+  // Spill events are rare and expensive; record each as a trace span so
+  // memory-pressure incidents are reconstructable from the ring buffer.
+  ScopedTrace trace("hash_join_spill_partition", "spill");
+  VSTORE_DCHECK(!part->spilled);
+  part->build_file = std::tmpfile();
+  part->probe_file = std::tmpfile();
+  if (part->build_file == nullptr || part->probe_file == nullptr) {
+    return Status::Internal("cannot create spill files");
+  }
+  std::vector<Value> row(static_cast<size_t>(schema_.num_columns()));
+  for (uint8_t* entry : part->rows) {
+    const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
+    for (int c = 0; c < schema_.num_columns(); ++c) {
+      row[static_cast<size_t>(c)] = format_.GetValue(payload, c);
+    }
+    VSTORE_RETURN_IF_ERROR(SpillRowLocked(part->build_file, schema_, row));
+  }
+  const int64_t rows = static_cast<int64_t>(part->rows.size());
+  part->build_rows_on_disk += rows;
+  ctx->stats.build_rows_spilled += rows;
+  build_rows_spilled_.fetch_add(rows, std::memory_order_relaxed);
+  total_bytes_.fetch_sub(part->bytes.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  part->rows.clear();
+  part->rows.shrink_to_fit();
+  part->arena = std::make_unique<Arena>();
+  part->arena->SetMemoryTracker(mem_);
+  part->bytes.store(0, std::memory_order_relaxed);
+  part->spilled = true;
+  ++ctx->stats.spill_partitions;
+  spill_partitions_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status JoinBuildTable::Finalize(int stripe, int stride, BloomFilter* bloom) {
+  for (size_t p = static_cast<size_t>(stripe); p < partitions_.size();
+       p += static_cast<size_t>(stride)) {
+    Partition& part = partitions_[p];
+    if (!part.spilled) {
+      part.table = std::make_unique<SerializedRowHashTable>(
+          static_cast<int64_t>(part.rows.size()));
+      part.table->SetMemoryTracker(mem_);
+      for (uint8_t* entry : part.rows) {
+        const uint64_t hash = SerializedRowHashTable::EntryHash(entry);
+        part.table->Insert(entry, hash);
+        if (bloom != nullptr) bloom->Insert(hash);
+      }
+    } else if (bloom != nullptr) {
+      // Spilled build rows still participate in the filter (the filter
+      // reflects the whole build side, resident or not).
+      std::rewind(part.build_file);
+      std::vector<Value> row;
+      std::vector<uint8_t> buf(format_.row_size());
+      Arena scratch;
+      for (;;) {
+        VSTORE_ASSIGN_OR_RETURN(bool more,
+                                ReadSpillRow(part.build_file, schema_, &row));
+        if (!more) break;
+        format_.WriteValues(buf.data(), row, &scratch);
+        bloom->Insert(format_.HashKeys(buf.data(), options_.build_keys));
+        scratch.Reset();
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status JoinBuildTable::SpillProbeRow(int p, const Schema& probe_schema,
+                                     const std::vector<Value>& row,
+                                     ExecContext* ctx) {
+  Partition& part = partition(p);
+  std::lock_guard<std::mutex> lock(part.mu);
+  VSTORE_RETURN_IF_ERROR(SpillRowLocked(part.probe_file, probe_schema, row));
+  ++part.probe_rows_on_disk;
+  ++ctx->stats.probe_rows_spilled;
+  return Status::OK();
+}
+
 HashJoinOperator::HashJoinOperator(BatchOperatorPtr probe,
                                    BatchOperatorPtr build, Options options,
                                    ExecContext* ctx)
@@ -116,39 +382,13 @@ HashJoinOperator::HashJoinOperator(BatchOperatorPtr probe,
   }
   output_schema_ = HashJoinOutputSchema(
       probe_->output_schema(), build_->output_schema(), options_.join_type);
-  partition_shift_ =
-      64 - std::countr_zero(static_cast<unsigned>(options_.num_partitions));
   if (ctx_ != nullptr && ctx_->memory_tracker != nullptr) {
     mem_ = std::make_unique<MemoryTracker>(name(), "operator",
                                            ctx_->memory_tracker);
-    pressure_listener_ = ctx_->memory_tracker->AddPressureListener(
-        [this] { pressure_.store(true, std::memory_order_relaxed); });
   }
 }
 
-HashJoinOperator::~HashJoinOperator() {
-  Close();
-  if (pressure_listener_ != 0) {
-    ctx_->memory_tracker->RemovePressureListener(pressure_listener_);
-  }
-}
-
-Status HashJoinOperator::SpillRow(std::FILE* f, const Schema& schema,
-                                  const std::vector<Value>& row) {
-  int64_t bytes = 0;
-  VSTORE_RETURN_IF_ERROR(WriteSpillRow(f, schema, row, &bytes));
-  RecordSpillBytes(bytes);
-  AddGlobalSpillBytes(bytes);
-  return Status::OK();
-}
-
-bool HashJoinOperator::UnderMemoryPressure(int64_t local_budget) const {
-  if (local_budget > 0 && total_build_bytes_ > local_budget) return true;
-  MemoryTracker* query = ctx_ != nullptr ? ctx_->memory_tracker : nullptr;
-  if (query == nullptr) return false;
-  if (pressure_.exchange(false, std::memory_order_relaxed)) return true;
-  return query->over_budget();
-}
+HashJoinOperator::~HashJoinOperator() { Close(); }
 
 std::string HashJoinOperator::name() const {
   return std::string("HashJoin(") + JoinTypeName(options_.join_type) + ")";
@@ -157,6 +397,10 @@ std::string HashJoinOperator::name() const {
 void HashJoinOperator::AppendProfileCounters(OperatorProfile* node) const {
   node->counters.push_back({"build_rows", build_rows_});
   node->counters.push_back({"probe_rows", probe_rows_});
+  // Same names as the shared build's counters, so a dop-1 build and a
+  // dop-N build compare directly in EXPLAIN ANALYZE.
+  node->counters.push_back({"build_ns", build_ns_});
+  node->counters.push_back({"table_build_ns", table_build_ns_});
   if (spill_partitions_ > 0) {
     node->counters.push_back({"spill_partitions", spill_partitions_});
     node->counters.push_back({"build_rows_spilled", build_rows_spilled_});
@@ -167,172 +411,39 @@ void HashJoinOperator::AppendProfileCounters(OperatorProfile* node) const {
   }
 }
 
-Status HashJoinOperator::SpillPartition(int p) {
-  // Spill events are rare and expensive; record each as a trace span so
-  // memory-pressure incidents are reconstructable from the ring buffer.
-  ScopedTrace trace("hash_join_spill_partition", "spill");
-  Partition& part = partitions_[static_cast<size_t>(p)];
-  VSTORE_DCHECK(!part.spilled);
-  part.build_file = std::tmpfile();
-  part.probe_file = std::tmpfile();
-  if (part.build_file == nullptr || part.probe_file == nullptr) {
-    return Status::Internal("cannot create spill files");
-  }
-  const Schema& schema = build_->output_schema();
-  std::vector<Value> row(static_cast<size_t>(schema.num_columns()));
-  for (uint8_t* entry : part.rows) {
-    const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-    for (int c = 0; c < schema.num_columns(); ++c) {
-      row[static_cast<size_t>(c)] = build_format_.GetValue(payload, c);
-    }
-    VSTORE_RETURN_IF_ERROR(SpillRow(part.build_file, schema, row));
-    ++part.build_rows_on_disk;
-    ++ctx_->stats.build_rows_spilled;
-    ++build_rows_spilled_;
-  }
-  total_build_bytes_ -= part.bytes;
-  part.rows.clear();
-  part.rows.shrink_to_fit();
-  part.arena = std::make_unique<Arena>();
-  part.arena->SetMemoryTracker(mem_.get());
-  part.bytes = 0;
-  part.spilled = true;
-  ++ctx_->stats.spill_partitions;
-  ++spill_partitions_;
-  return Status::OK();
-}
-
 Status HashJoinOperator::RunBuildPhase() {
+  const int64_t build_start = MonotonicNowNs();
+  table_ = std::make_unique<JoinBuildTable>(
+      build_->output_schema(), build_format_, options_,
+      ctx_->operator_memory_budget, mem_.get(), ctx_->memory_tracker);
   VSTORE_RETURN_IF_ERROR(build_->Open());
-  const size_t entry_size =
-      SerializedRowHashTable::kHeaderSize + build_format_.row_size();
-  const int64_t budget = ctx_->operator_memory_budget;
-  int64_t bloom_rows = 0;
-
+  JoinBuildTable::Inserter inserter;
   for (;;) {
     VSTORE_ASSIGN_OR_RETURN(Batch * batch, build_->Next());
     if (batch == nullptr) break;
-    const int64_t n = batch->num_rows();
-    const uint8_t* active = batch->active();
-    for (int64_t i = 0; i < n; ++i) {
-      if (!active[i]) continue;
-      // Rows with a null key can never join: drop them at build time.
-      bool null_key = false;
-      for (int k : options_.build_keys) {
-        if (!batch->column(k).validity()[i]) {
-          null_key = true;
-          break;
-        }
-      }
-      if (null_key) continue;
-
-      ++build_rows_;
-      uint64_t hash =
-          build_format_.HashKeysFromBatch(*batch, i, options_.build_keys);
-      if (bloom_ != nullptr) {
-        // Sized lazily below; collect hashes by inserting after Init. To
-        // keep one pass, the filter is initialized pessimistically on first
-        // use and re-populated only if this undershoots badly — in practice
-        // we size from the running count by rebuilding at the end, so here
-        // we just count.
-        ++bloom_rows;
-      }
-
-      int p = PartitionOf(hash);
-      Partition& part = partitions_[static_cast<size_t>(p)];
-      if (part.spilled) {
-        VSTORE_RETURN_IF_ERROR(SpillRow(
-            part.build_file, build_->output_schema(), batch->GetActiveRow(i)));
-        ++part.build_rows_on_disk;
-        ++ctx_->stats.build_rows_spilled;
-        ++build_rows_spilled_;
-        continue;
-      }
-      uint8_t* entry = part.arena->Allocate(entry_size);
-      build_format_.Write(entry + SerializedRowHashTable::kHeaderSize, *batch,
-                          i, part.arena.get());
-      std::memcpy(entry + 8, &hash, sizeof(hash));
-      part.rows.push_back(entry);
-      int64_t grew = static_cast<int64_t>(part.arena->bytes_allocated()) -
-                     part.bytes;
-      part.bytes += grew;
-      total_build_bytes_ += grew;
-      RecordPeakMemory(total_build_bytes_);
-
-      if (UnderMemoryPressure(budget)) {
-        // Spill the largest resident partition. Under query-level pressure
-        // every resident partition may already be gone (other operators
-        // hold the budget) — then there is nothing left to shed.
-        int victim = -1;
-        int64_t victim_bytes = 0;
-        for (int q = 0; q < options_.num_partitions; ++q) {
-          const Partition& cand = partitions_[static_cast<size_t>(q)];
-          if (!cand.spilled && cand.bytes > victim_bytes) {
-            victim = q;
-            victim_bytes = cand.bytes;
-          }
-        }
-        if (victim >= 0) {
-          VSTORE_RETURN_IF_ERROR(SpillPartition(victim));
-        }
-      }
-    }
+    VSTORE_RETURN_IF_ERROR(table_->InsertBatch(*batch, &inserter, ctx_));
   }
   build_->Close();
+  build_rows_ = inserter.rows;
+  build_rows_spilled_ = table_->build_rows_spilled();
+  spill_partitions_ = table_->spill_partitions();
+  RecordPeakMemory(table_->peak_bytes());
+  build_ns_ = MonotonicNowNs() - build_start;
 
-  // Populate the Bloom filter from all resident + spilled build rows.
-  if (bloom_ != nullptr) {
-    bloom_->Init(std::max<int64_t>(bloom_rows, 1));
-    for (Partition& part : partitions_) {
-      for (uint8_t* entry : part.rows) {
-        bloom_->Insert(SerializedRowHashTable::EntryHash(entry));
-      }
-      if (part.spilled) {
-        std::rewind(part.build_file);
-        std::vector<Value> row;
-        for (;;) {
-          VSTORE_ASSIGN_OR_RETURN(
-              bool more,
-              ReadSpillRow(part.build_file, build_->output_schema(), &row));
-          if (!more) break;
-          // Recompute the key hash from values.
-          Arena scratch;
-          std::vector<uint8_t> buf(build_format_.row_size());
-          build_format_.WriteValues(buf.data(), row, &scratch);
-          bloom_->Insert(
-              build_format_.HashKeys(buf.data(), options_.build_keys));
-        }
-      }
-    }
-  }
-  return BuildInMemoryTables();
-}
-
-Status HashJoinOperator::BuildInMemoryTables() {
-  for (Partition& part : partitions_) {
-    if (part.spilled) continue;
-    part.table = std::make_unique<SerializedRowHashTable>(
-        static_cast<int64_t>(part.rows.size()));
-    part.table->SetMemoryTracker(mem_.get());
-    for (uint8_t* entry : part.rows) {
-      part.table->Insert(entry, SerializedRowHashTable::EntryHash(entry));
-    }
-  }
+  const int64_t finalize_start = MonotonicNowNs();
+  if (bloom_ != nullptr) bloom_->Init(std::max<int64_t>(build_rows_, 1));
+  VSTORE_RETURN_IF_ERROR(table_->Finalize(0, 1, bloom_));
+  table_build_ns_ = MonotonicNowNs() - finalize_start;
   return Status::OK();
 }
 
 Status HashJoinOperator::OpenImpl() {
-  partitions_.clear();
-  partitions_.resize(static_cast<size_t>(options_.num_partitions));
-  for (Partition& p : partitions_) {
-    p.arena = std::make_unique<Arena>();
-    p.arena->SetMemoryTracker(mem_.get());
-  }
+  table_.reset();
   drain_arena_.SetMemoryTracker(mem_.get());
   if (mem_ != nullptr) mem_->ResetPeak();
-  pressure_.store(false, std::memory_order_relaxed);
-  total_build_bytes_ = 0;
   build_rows_ = 0;
+  build_ns_ = 0;
+  table_build_ns_ = 0;
   probe_rows_ = 0;
   build_rows_spilled_ = 0;
   probe_rows_spilled_ = 0;
@@ -358,17 +469,8 @@ Status HashJoinOperator::OpenImpl() {
 
 void HashJoinOperator::CloseImpl() {
   RecordMemoryTracker(mem_.get());
-  for (Partition& part : partitions_) {
-    if (part.build_file != nullptr) {
-      std::fclose(part.build_file);
-      part.build_file = nullptr;
-    }
-    if (part.probe_file != nullptr) {
-      std::fclose(part.probe_file);
-      part.probe_file = nullptr;
-    }
-  }
-  partitions_.clear();
+  if (table_ != nullptr) RecordSpillBytes(table_->spill_bytes());
+  table_.reset();  // frees the partitions and closes their spill files
   output_.reset();
   if (probe_batch_ != nullptr || phase_ != Phase::kBuild) {
     probe_->Close();
@@ -402,14 +504,13 @@ Result<bool> HashJoinOperator::PumpProbe() {
         continue;
       }
       uint64_t hash = probe_hashes_[static_cast<size_t>(probe_row_)];
-      Partition& part = partitions_[static_cast<size_t>(PartitionOf(hash))];
+      const int p = table_->PartitionOf(hash);
+      JoinBuildTable::Partition& part = table_->partition(p);
 
       if (part.spilled) {
-        VSTORE_RETURN_IF_ERROR(
-            SpillRow(part.probe_file, probe_->output_schema(),
-                     probe_batch_->GetActiveRow(probe_row_)));
-        ++part.probe_rows_on_disk;
-        ++ctx_->stats.probe_rows_spilled;
+        VSTORE_RETURN_IF_ERROR(table_->SpillProbeRow(
+            p, probe_->output_schema(), probe_batch_->GetActiveRow(probe_row_),
+            ctx_));
         ++probe_rows_spilled_;
         ++probe_rows_;
         ++probe_row_;
@@ -468,7 +569,7 @@ Result<bool> HashJoinOperator::PumpSpill() {
       phase_ = Phase::kDone;
       return out_rows_ > 0;
     }
-    Partition& part = partitions_[static_cast<size_t>(drain_partition_)];
+    JoinBuildTable::Partition& part = table_->partition(drain_partition_);
     if (!part.spilled) {
       ++drain_partition_;
       continue;

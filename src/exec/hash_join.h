@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/memory_tracker.h"
@@ -55,14 +56,145 @@ class JoinRowEmitter {
   bool emit_build_columns_;
 };
 
+struct HashJoinOptions {
+  JoinType join_type = JoinType::kInner;
+  std::vector<int> probe_keys;  // column indices in the probe schema
+  std::vector<int> build_keys;  // column indices in the build schema
+  // If non-null, the join Init()s and populates this externally-owned
+  // Bloom filter over the build keys during its build phase. The planner
+  // hands the same object to the probe-side scan (which only reads it
+  // after Open(), i.e. after the build completed). Only valid for
+  // inner/semi joins (outer/anti joins must see every probe row).
+  BloomFilter* bloom_target = nullptr;
+  int num_partitions = 16;  // power of two
+};
+
+// Hash-partitioned build side of a batch hash join: the one build routine
+// behind both the serial HashJoinOperator (a single inserting thread) and
+// the parallel SharedHashJoinBuild (one inserting thread per build
+// fragment). InsertBatch takes a whole build batch: it hashes the keys
+// with HashKeysBatch (the probe side's kernel, so both sides hash through
+// the same code), drops inactive and NULL-key rows, counting-sorts the
+// survivors by partition, and appends each partition's run under one
+// acquisition of that partition's lock — or writes the run to the
+// partition's spill file once the partition has spilled. Byte totals, the
+// operator budget and query pressure are updated and polled once per
+// batch, so the resident build overshoots its budget by at most one batch
+// before the largest partitions are flushed to disk (spill_mu_ serializes
+// victim selection, so one flush runs at a time).
+class JoinBuildTable {
+ public:
+  struct Partition {
+    std::mutex mu;  // guards all mutable fields during build + probe spill
+    std::unique_ptr<Arena> arena;
+    std::vector<uint8_t*> rows;  // entry pointers (header + payload)
+    // Mirror of arena bytes, readable without the partition lock for spill
+    // victim selection.
+    std::atomic<int64_t> bytes{0};
+    bool spilled = false;
+    std::FILE* build_file = nullptr;
+    std::FILE* probe_file = nullptr;
+    int64_t build_rows_on_disk = 0;
+    int64_t probe_rows_on_disk = 0;
+    // Built by Finalize; read-only from then on, except that the serial
+    // join's spill drain loads spilled partitions in place.
+    std::unique_ptr<SerializedRowHashTable> table;
+  };
+
+  // Scratch and counters of one inserting thread, reused across batches.
+  struct Inserter {
+    std::vector<uint64_t> hashes;
+    std::vector<uint32_t> kept;       // surviving rows, in batch order
+    std::vector<uint32_t> runs;       // kept rows grouped by partition
+    std::vector<uint32_t> run_start;  // per-partition offsets into runs
+    std::vector<uint32_t> run_fill;   // scatter cursors
+    std::vector<size_t> pending;      // partitions whose run is not in yet
+    int64_t rows = 0;          // build rows kept (non-null keys)
+    int64_t lock_wait_ns = 0;  // contended partition-lock waits
+  };
+
+  // `schema`, `format` and `options` must outlive the table. Arenas and
+  // tables charge `mem`; `query_tracker` supplies query-level pressure
+  // (either may be null). memory_budget <= 0 means unlimited.
+  JoinBuildTable(const Schema& schema, const RowFormat& format,
+                 const HashJoinOptions& options, int64_t memory_budget,
+                 MemoryTracker* mem, MemoryTracker* query_tracker);
+  ~JoinBuildTable();
+  VSTORE_DISALLOW_COPY_AND_ASSIGN(JoinBuildTable);
+
+  // Thread-safe. Spill counters go to ctx->stats.
+  Status InsertBatch(const Batch& batch, Inserter* ins, ExecContext* ctx);
+  // After all inserts: builds the chained tables of partitions stripe,
+  // stripe + stride, ... and adds the key hash of each of their build
+  // rows, resident or spilled, to `bloom` when non-null. Distinct stripes
+  // may run concurrently.
+  Status Finalize(int stripe, int stride, BloomFilter* bloom);
+  // Thread-safe append of a probe row to spilled partition `p`.
+  Status SpillProbeRow(int p, const Schema& probe_schema,
+                       const std::vector<Value>& row, ExecContext* ctx);
+
+  int PartitionOf(uint64_t hash) const {
+    return static_cast<int>(hash >> partition_shift_);
+  }
+  Partition& partition(int p) { return partitions_[static_cast<size_t>(p)]; }
+
+  int64_t peak_bytes() const {
+    return peak_bytes_.load(std::memory_order_relaxed);
+  }
+  int64_t spill_bytes() const {
+    return spill_bytes_.load(std::memory_order_relaxed);
+  }
+  int64_t spill_partitions() const {
+    return spill_partitions_.load(std::memory_order_relaxed);
+  }
+  int64_t build_rows_spilled() const {
+    return build_rows_spilled_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  // Flushes the largest resident partition while the build is over its
+  // budget; `query_pressure` sheds at least one (the query-level tracker
+  // crossed its budget, whatever the local budget says).
+  Status MaybeSpill(ExecContext* ctx, bool query_pressure);
+  // Appends (or spills) the inserter's run for partition `p`, whose lock
+  // the caller holds; adds the partition's arena growth to `grew`.
+  Status AppendRunLocked(const Batch& batch, const Inserter& ins, size_t p,
+                         ExecContext* ctx, int64_t* grew);
+  Status SpillPartitionLocked(Partition* part, ExecContext* ctx);
+  // WriteSpillRow plus spill-byte accounting (per table and global).
+  Status SpillRowLocked(std::FILE* f, const Schema& schema,
+                        const std::vector<Value>& row);
+  // Consumes the budget-crossing edge / polls the query tracker.
+  bool QueryMemoryPressure() const;
+
+  const Schema& schema_;
+  const RowFormat& format_;
+  const HashJoinOptions& options_;
+  const int64_t memory_budget_;
+  const int partition_shift_;
+  MemoryTracker* mem_;
+  MemoryTracker* query_tracker_;
+  mutable std::atomic<bool> pressure_{false};
+  int pressure_listener_ = 0;
+
+  std::vector<Partition> partitions_;
+  std::atomic<int64_t> total_bytes_{0};
+  std::atomic<int64_t> peak_bytes_{0};
+  std::atomic<int64_t> spill_bytes_{0};
+  std::atomic<int64_t> spill_partitions_{0};
+  std::atomic<int64_t> build_rows_spilled_{0};
+  std::mutex spill_mu_;  // serializes victim selection + flush
+};
+
 // Batch-mode hash join (paper §5.3): consumes the build side into a hash
 // table of serialized rows, optionally publishing a Bloom filter for
 // pushdown into the probe-side scan, then streams probe batches against it.
 //
-// Memory-bounded: build rows are hash-partitioned; when the in-memory size
-// exceeds the context's operator_memory_budget, whole partitions spill to
-// temp files and the matching probe rows are spilled too, then partition
-// pairs are drained after the probe input is exhausted (grace hash join).
+// Memory-bounded: build rows go into a JoinBuildTable (this join is its
+// single-inserter case); when the in-memory size exceeds the context's
+// operator_memory_budget, whole partitions spill to temp files and the
+// matching probe rows are spilled too, then partition pairs are drained
+// after the probe input is exhausted (grace hash join).
 // One level of partitioning is applied; a spilled partition is assumed to
 // fit in memory during its drain.
 //
@@ -70,18 +202,7 @@ class JoinRowEmitter {
 // only for semi/anti joins).
 class HashJoinOperator final : public BatchOperator {
  public:
-  struct Options {
-    JoinType join_type = JoinType::kInner;
-    std::vector<int> probe_keys;  // column indices in the probe schema
-    std::vector<int> build_keys;  // column indices in the build schema
-    // If non-null, the join Init()s and populates this externally-owned
-    // Bloom filter over the build keys during its build phase. The planner
-    // hands the same object to the probe-side scan (which only reads it
-    // after Open(), i.e. after the build completed). Only valid for
-    // inner/semi joins (outer/anti joins must see every probe row).
-    BloomFilter* bloom_target = nullptr;
-    int num_partitions = 16;  // power of two
-  };
+  using Options = HashJoinOptions;
 
   HashJoinOperator(BatchOperatorPtr probe, BatchOperatorPtr build,
                    Options options, ExecContext* ctx);
@@ -103,33 +224,7 @@ class HashJoinOperator final : public BatchOperator {
   void AppendProfileCounters(OperatorProfile* node) const override;
 
  private:
-  struct Partition {
-    std::unique_ptr<Arena> arena;
-    std::vector<uint8_t*> rows;  // entry pointers (header + payload)
-    int64_t bytes = 0;
-    bool spilled = false;
-    std::FILE* build_file = nullptr;
-    std::FILE* probe_file = nullptr;
-    int64_t build_rows_on_disk = 0;
-    int64_t probe_rows_on_disk = 0;
-    std::unique_ptr<SerializedRowHashTable> table;
-  };
-
-  int PartitionOf(uint64_t hash) const {
-    return static_cast<int>(hash >> partition_shift_);
-  }
-
   Status RunBuildPhase();
-  Status SpillPartition(int p);
-  Status BuildInMemoryTables();
-
-  // WriteSpillRow plus per-operator and global spill-byte accounting.
-  Status SpillRow(std::FILE* f, const Schema& schema,
-                  const std::vector<Value>& row);
-  // True when the build should shed a partition: local operator budget
-  // exceeded, or the query-level tracker crossed its budget (pressure
-  // listener edge or steady-state over_budget poll).
-  bool UnderMemoryPressure(int64_t local_budget) const;
 
   // Probe-streaming phase; returns true when a full/final batch is ready.
   Result<bool> PumpProbe();
@@ -148,16 +243,12 @@ class HashJoinOperator final : public BatchOperator {
   JoinRowEmitter emitter_;
 
   BloomFilter* bloom_ = nullptr;  // not owned
-  std::vector<Partition> partitions_;
-  int partition_shift_ = 60;
-  int64_t total_build_bytes_ = 0;
 
   // Per-operator tracker under the query tracker (null when tracking is
-  // off); partition arenas and tables charge here. The pressure flag is
-  // set by the query tracker's budget-crossing listener.
+  // off); partition arenas and tables charge here. Declared before table_
+  // so the partitions release into a live tracker.
   std::unique_ptr<MemoryTracker> mem_;
-  mutable std::atomic<bool> pressure_{false};
-  int pressure_listener_ = 0;
+  std::unique_ptr<JoinBuildTable> table_;  // one per Open()
 
   std::unique_ptr<Batch> output_;
   int64_t out_rows_ = 0;
@@ -180,6 +271,8 @@ class HashJoinOperator final : public BatchOperator {
 
   // Per-operator profile counters mirroring the query-global ExecStats.
   int64_t build_rows_ = 0;
+  int64_t build_ns_ = 0;        // build input drained into partitions
+  int64_t table_build_ns_ = 0;  // chained tables + Bloom filter
   int64_t probe_rows_ = 0;
   int64_t build_rows_spilled_ = 0;
   int64_t probe_rows_spilled_ = 0;

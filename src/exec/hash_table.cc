@@ -228,6 +228,10 @@ uint64_t HashBatchSlot(const ColumnVector& cv, int64_t i) {
 
 }  // namespace
 
+uint64_t SingleKeyHashAt(const ColumnVector& cv, int64_t i) {
+  return SingleKeyHash(HashBatchSlot(cv, i));
+}
+
 uint64_t RowFormat::HashKeys(const uint8_t* row,
                              const std::vector<int>& keys) const {
   uint64_t h = kKeyHashSeed;

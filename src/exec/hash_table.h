@@ -28,6 +28,10 @@ inline uint64_t SingleKeyHash(uint64_t slot_hash) {
   return HashCombine(kKeyHashSeed, slot_hash);
 }
 
+// SingleKeyHash of row `i` of `cv`: the hash the scan-side Bloom probe
+// tests, equal to RowFormat::HashKeysFromBatch over that one column.
+uint64_t SingleKeyHashAt(const ColumnVector& cv, int64_t i);
+
 // Fixed-offset serialized row format used by hash join build sides and
 // hash aggregation state. Layout: a validity byte per column, padded to 8
 // bytes, then one slot per column — 8 bytes for int64/double, 16 bytes for

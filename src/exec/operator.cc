@@ -1,6 +1,5 @@
 #include "exec/operator.h"
 
-#include <chrono>
 #include <cstring>
 
 #include "common/macros.h"
@@ -11,12 +10,6 @@
 namespace vstore {
 
 namespace {
-
-inline int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Batches evaluated through the bytecode VM versus the tree interpreter
 // (the compiled-vs-interpreted dispatch split, exported via sys.metrics).
@@ -50,18 +43,18 @@ Status BatchOperator::Open() {
   // Mark opened before the hook so a failed Open still gets a Close (the
   // hooks may have acquired resources before erroring out).
   opened_ = true;
-  int64_t start = NowNs();
+  int64_t start = MonotonicNowNs();
   SpanGuard guard(trace_span_);
   Status status = OpenImpl();
-  profile_open_ns_ += NowNs() - start;
+  profile_open_ns_ += MonotonicNowNs() - start;
   return status;
 }
 
 Result<Batch*> BatchOperator::Next() {
-  int64_t start = NowNs();
+  int64_t start = MonotonicNowNs();
   SpanGuard guard(trace_span_);
   Result<Batch*> result = NextImpl();
-  profile_next_ns_ += NowNs() - start;
+  profile_next_ns_ += MonotonicNowNs() - start;
   if (result.ok() && result.value() != nullptr) {
     ++profile_batches_;
     profile_rows_ += result.value()->active_count();
@@ -72,12 +65,12 @@ Result<Batch*> BatchOperator::Next() {
 void BatchOperator::Close() {
   if (!opened_) return;
   opened_ = false;
-  int64_t start = NowNs();
+  int64_t start = MonotonicNowNs();
   {
     SpanGuard guard(trace_span_);
     CloseImpl();
   }
-  profile_close_ns_ += NowNs() - start;
+  profile_close_ns_ += MonotonicNowNs() - start;
   if (trace_span_ != nullptr) {
     QueryTraceContext& tc = CurrentQueryTraceContext();
     if (tc.recorder != nullptr) tc.recorder->EndSpan(trace_span_);

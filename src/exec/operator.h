@@ -2,6 +2,7 @@
 #define VSTORE_EXEC_OPERATOR_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -15,6 +16,13 @@
 #include "types/schema.h"
 
 namespace vstore {
+
+// Monotonic clock reading for operator and build-phase timers.
+inline int64_t MonotonicNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 // Counters surfaced to benchmarks and EXPLAIN-style output.
 struct ExecStats {

@@ -2,29 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "common/macros.h"
-#include "common/metrics.h"
 #include "common/span_trace.h"
 #include "exec/spill.h"
 
 namespace vstore {
-
-namespace {
-
-inline std::chrono::steady_clock::time_point Now() {
-  return std::chrono::steady_clock::now();
-}
-
-inline int64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(Now() - start)
-      .count();
-}
-
-}  // namespace
 
 SharedHashJoinBuild::SharedHashJoinBuild(Schema build_schema,
                                          Schema probe_schema, Options options,
@@ -38,8 +22,6 @@ SharedHashJoinBuild::SharedHashJoinBuild(Schema build_schema,
       build_dop_(build_dop),
       memory_budget_(memory_budget),
       build_format_(build_schema_),
-      partition_shift_(
-          64 - std::countr_zero(static_cast<unsigned>(options_.num_partitions))),
       active_probe_fragments_(expected_probe_fragments) {
   VSTORE_CHECK(build_dop_ >= 1 && expected_probe_fragments >= 1);
   VSTORE_CHECK(!options_.probe_keys.empty() &&
@@ -52,29 +34,7 @@ SharedHashJoinBuild::SharedHashJoinBuild(Schema build_schema,
   }
 }
 
-SharedHashJoinBuild::~SharedHashJoinBuild() {
-  if (pressure_listener_ != 0) {
-    query_tracker_->RemovePressureListener(pressure_listener_);
-  }
-  for (auto& part : partitions_) {
-    if (part->build_file != nullptr) std::fclose(part->build_file);
-    if (part->probe_file != nullptr) std::fclose(part->probe_file);
-  }
-}
-
-bool SharedHashJoinBuild::QueryMemoryPressure() const {
-  if (pressure_.exchange(false, std::memory_order_relaxed)) return true;
-  return query_tracker_ != nullptr && query_tracker_->over_budget();
-}
-
-Status SharedHashJoinBuild::SpillRowLocked(std::FILE* f, const Schema& schema,
-                                           const std::vector<Value>& row) {
-  int64_t bytes = 0;
-  VSTORE_RETURN_IF_ERROR(WriteSpillRow(f, schema, row, &bytes));
-  spill_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  AddGlobalSpillBytes(bytes);
-  return Status::OK();
-}
+SharedHashJoinBuild::~SharedHashJoinBuild() = default;
 
 Status SharedHashJoinBuild::EnsureBuilt(ExecContext* caller_ctx) {
   // The mutex doubles as the happens-before edge: every fragment passes
@@ -87,22 +47,15 @@ Status SharedHashJoinBuild::EnsureBuilt(ExecContext* caller_ctx) {
 }
 
 Status SharedHashJoinBuild::RunBuild(ExecContext* caller_ctx) {
-  auto build_start = Now();
-  if (caller_ctx->memory_tracker != nullptr && mem_ == nullptr) {
-    query_tracker_ = caller_ctx->memory_tracker;
+  const int64_t build_start = MonotonicNowNs();
+  if (caller_ctx->memory_tracker != nullptr) {
     mem_ = std::make_unique<MemoryTracker>("SharedHashJoinBuild", "operator",
-                                           query_tracker_);
-    pressure_listener_ = query_tracker_->AddPressureListener(
-        [this] { pressure_.store(true, std::memory_order_relaxed); });
+                                           caller_ctx->memory_tracker);
   }
-  partitions_.clear();
-  partitions_.reserve(static_cast<size_t>(options_.num_partitions));
-  for (int p = 0; p < options_.num_partitions; ++p) {
-    auto part = std::make_unique<Partition>();
-    part->arena = std::make_unique<Arena>();
-    part->arena->SetMemoryTracker(mem_.get());
-    partitions_.push_back(std::move(part));
-  }
+  table_ = std::make_unique<JoinBuildTable>(build_schema_, build_format_,
+                                            options_, memory_budget_,
+                                            mem_.get(),
+                                            caller_ctx->memory_tracker);
   fragment_build_rows_.assign(static_cast<size_t>(build_dop_), 0);
 
   // Phase 1: every build fragment drains its operator tree into the shared
@@ -152,12 +105,12 @@ Status SharedHashJoinBuild::RunBuild(ExecContext* caller_ctx) {
   for (const Status& s : statuses) {
     VSTORE_RETURN_IF_ERROR(s);
   }
-  build_ns_ = ElapsedNs(build_start);
+  build_ns_ = MonotonicNowNs() - build_start;
 
   // Phase 2: chained tables + Bloom filter, partitions striped across the
   // same dop. The shared filter is Init()ed once from the total row count;
   // each stripe fills a private identically-sized filter and OR-merges it.
-  auto finalize_start = Now();
+  const int64_t finalize_start = MonotonicNowNs();
   int64_t total_rows = 0;
   for (int64_t rows : fragment_build_rows_) total_rows += rows;
   if (options_.bloom_target != nullptr) {
@@ -179,7 +132,7 @@ Status SharedHashJoinBuild::RunBuild(ExecContext* caller_ctx) {
       VSTORE_RETURN_IF_ERROR(s);
     }
   }
-  table_build_ns_ = ElapsedNs(finalize_start);
+  table_build_ns_ = MonotonicNowNs() - finalize_start;
   return Status::OK();
 }
 
@@ -191,11 +144,7 @@ Status SharedHashJoinBuild::BuildFragment(int fragment, ExecContext* fctx) {
     if (!op_result.ok()) return op_result.status();
     op = std::move(op_result).value();
   }
-  const size_t entry_size =
-      SerializedRowHashTable::kHeaderSize + build_format_.row_size();
-  int64_t frag_rows = 0;
-  int64_t lock_wait_ns = 0;
-
+  JoinBuildTable::Inserter inserter;
   Status status = op->Open();
   while (status.ok()) {
     Result<Batch*> batch_result = op->Next();
@@ -205,73 +154,7 @@ Status SharedHashJoinBuild::BuildFragment(int fragment, ExecContext* fctx) {
     }
     Batch* batch = batch_result.value();
     if (batch == nullptr) break;
-    const int64_t n = batch->num_rows();
-    const uint8_t* active = batch->active();
-    for (int64_t i = 0; i < n && status.ok(); ++i) {
-      if (!active[i]) continue;
-      // Rows with a null key can never join: drop them at build time.
-      bool null_key = false;
-      for (int k : options_.build_keys) {
-        if (!batch->column(k).validity()[i]) {
-          null_key = true;
-          break;
-        }
-      }
-      if (null_key) continue;
-
-      ++frag_rows;
-      uint64_t hash =
-          build_format_.HashKeysFromBatch(*batch, i, options_.build_keys);
-      Partition& part = *partitions_[static_cast<size_t>(PartitionOf(hash))];
-      bool over_budget = false;
-      bool query_pressure = false;
-      {
-        // try_lock first so only contended acquisitions pay for (and show
-        // up in) the lock-wait timer.
-        std::unique_lock<std::mutex> lock(part.mu, std::try_to_lock);
-        if (!lock.owns_lock()) {
-          auto wait_start = Now();
-          lock.lock();
-          lock_wait_ns += ElapsedNs(wait_start);
-        }
-        if (part.spilled) {
-          status = SpillRowLocked(part.build_file, build_schema_,
-                                  batch->GetActiveRow(i));
-          if (status.ok()) {
-            ++part.build_rows_on_disk;
-            ++fctx->stats.build_rows_spilled;
-          }
-        } else {
-          uint8_t* entry = part.arena->Allocate(entry_size);
-          build_format_.Write(entry + SerializedRowHashTable::kHeaderSize,
-                              *batch, i, part.arena.get());
-          std::memcpy(entry + 8, &hash, sizeof(hash));
-          part.rows.push_back(entry);
-          int64_t arena_bytes =
-              static_cast<int64_t>(part.arena->bytes_allocated());
-          int64_t grew =
-              arena_bytes - part.bytes.load(std::memory_order_relaxed);
-          part.bytes.store(arena_bytes, std::memory_order_relaxed);
-          int64_t total =
-              total_bytes_.fetch_add(grew, std::memory_order_relaxed) + grew;
-          int64_t peak = peak_bytes_.load(std::memory_order_relaxed);
-          while (total > peak && !peak_bytes_.compare_exchange_weak(
-                                     peak, total, std::memory_order_relaxed)) {
-          }
-          over_budget = memory_budget_ > 0 && total > memory_budget_;
-          if (!over_budget) {
-            query_pressure = QueryMemoryPressure();
-            over_budget = query_pressure;
-          }
-        }
-      }
-      // Spill outside the partition lock: MaybeSpill acquires spill_mu_
-      // first and then a victim partition's lock, so holding a partition
-      // lock here would invert the order.
-      if (status.ok() && over_budget) {
-        status = MaybeSpill(fctx, query_pressure);
-      }
-    }
+    status = table_->InsertBatch(*batch, &inserter, fctx);
   }
   op->Close();
 
@@ -284,75 +167,11 @@ Status SharedHashJoinBuild::BuildFragment(int fragment, ExecContext* fctx) {
       build_profile_.MergeFrom(profile);
     }
     ++profile_fragments_;
-    fragment_build_rows_[static_cast<size_t>(fragment)] = frag_rows;
-    build_rows_ += frag_rows;
-    lock_wait_ns_ += lock_wait_ns;
+    fragment_build_rows_[static_cast<size_t>(fragment)] = inserter.rows;
+    build_rows_ += inserter.rows;
+    lock_wait_ns_ += inserter.lock_wait_ns;
   }
   return status;
-}
-
-Status SharedHashJoinBuild::MaybeSpill(ExecContext* fctx,
-                                       bool query_pressure) {
-  std::lock_guard<std::mutex> spill_lock(spill_mu_);
-  // Another thread may have flushed a partition while we waited. A query
-  // budget crossing always sheds one victim — the build cannot observe
-  // whether an unrelated release has since taken the query back under.
-  if (!query_pressure &&
-      total_bytes_.load(std::memory_order_relaxed) <= memory_budget_) {
-    return Status::OK();
-  }
-  // `spilled` only flips under spill_mu_ (plus the partition lock), so this
-  // scan needs no partition locks; `bytes` is an atomic mirror.
-  int victim = -1;
-  int64_t victim_bytes = -1;
-  for (int q = 0; q < options_.num_partitions; ++q) {
-    const Partition& cand = *partitions_[static_cast<size_t>(q)];
-    int64_t bytes = cand.bytes.load(std::memory_order_relaxed);
-    if (!cand.spilled && bytes > victim_bytes) {
-      victim = q;
-      victim_bytes = bytes;
-    }
-  }
-  if (victim < 0) return Status::OK();  // everything is already on disk
-  Partition& part = *partitions_[static_cast<size_t>(victim)];
-  std::lock_guard<std::mutex> part_lock(part.mu);
-  return SpillPartitionLocked(&part, fctx);
-}
-
-Status SharedHashJoinBuild::SpillPartitionLocked(Partition* part,
-                                                 ExecContext* fctx) {
-  ScopedTrace trace("parallel_join_spill_partition", "spill");
-  VSTORE_DCHECK(!part->spilled);
-  part->build_file = std::tmpfile();
-  part->probe_file = std::tmpfile();
-  if (part->build_file == nullptr || part->probe_file == nullptr) {
-    return Status::Internal("cannot create spill files");
-  }
-  std::vector<Value> row(static_cast<size_t>(build_schema_.num_columns()));
-  for (uint8_t* entry : part->rows) {
-    const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-    for (int c = 0; c < build_schema_.num_columns(); ++c) {
-      row[static_cast<size_t>(c)] = build_format_.GetValue(payload, c);
-    }
-    VSTORE_RETURN_IF_ERROR(
-        SpillRowLocked(part->build_file, build_schema_, row));
-    ++part->build_rows_on_disk;
-    ++fctx->stats.build_rows_spilled;
-  }
-  total_bytes_.fetch_sub(part->bytes.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  part->rows.clear();
-  part->rows.shrink_to_fit();
-  part->arena = std::make_unique<Arena>();
-  part->arena->SetMemoryTracker(mem_.get());
-  part->bytes.store(0, std::memory_order_relaxed);
-  part->spilled = true;
-  ++fctx->stats.spill_partitions;
-  {
-    std::lock_guard<std::mutex> lock(merge_mu_);
-    ++spill_partitions_;
-  }
-  return Status::OK();
 }
 
 Status SharedHashJoinBuild::FinalizeStripe(int stripe, int64_t total_rows) {
@@ -360,52 +179,15 @@ Status SharedHashJoinBuild::FinalizeStripe(int stripe, int64_t total_rows) {
   const bool blooming = options_.bloom_target != nullptr;
   if (blooming) local_bloom.Init(std::max<int64_t>(total_rows, 1));
 
-  for (int p = stripe; p < options_.num_partitions; p += build_dop_) {
-    Partition& part = *partitions_[static_cast<size_t>(p)];
-    if (!part.spilled) {
-      part.table = std::make_unique<SerializedRowHashTable>(
-          static_cast<int64_t>(part.rows.size()));
-      part.table->SetMemoryTracker(mem_.get());
-      for (uint8_t* entry : part.rows) {
-        uint64_t hash = SerializedRowHashTable::EntryHash(entry);
-        part.table->Insert(entry, hash);
-        if (blooming) local_bloom.Insert(hash);
-      }
-    } else if (blooming) {
-      // Spilled build rows still participate in the filter (the filter
-      // reflects the whole build side, resident or not).
-      std::rewind(part.build_file);
-      std::vector<Value> row;
-      std::vector<uint8_t> buf(build_format_.row_size());
-      Arena scratch;
-      for (;;) {
-        VSTORE_ASSIGN_OR_RETURN(
-            bool more, ReadSpillRow(part.build_file, build_schema_, &row));
-        if (!more) break;
-        build_format_.WriteValues(buf.data(), row, &scratch);
-        local_bloom.Insert(
-            build_format_.HashKeys(buf.data(), options_.build_keys));
-        scratch.Reset();
-      }
-    }
-  }
+  VSTORE_RETURN_IF_ERROR(table_->Finalize(
+      stripe, build_dop_, blooming ? &local_bloom : nullptr));
 
   if (blooming) {
-    auto merge_start = Now();
+    const int64_t merge_start = MonotonicNowNs();
     std::lock_guard<std::mutex> lock(merge_mu_);
     options_.bloom_target->MergeFrom(local_bloom);
-    bloom_merge_ns_ += ElapsedNs(merge_start);
+    bloom_merge_ns_ += MonotonicNowNs() - merge_start;
   }
-  return Status::OK();
-}
-
-Status SharedHashJoinBuild::SpillProbeRow(int p, const std::vector<Value>& row,
-                                          ExecContext* fctx) {
-  Partition& part = *partitions_[static_cast<size_t>(p)];
-  std::lock_guard<std::mutex> lock(part.mu);
-  VSTORE_RETURN_IF_ERROR(SpillRowLocked(part.probe_file, probe_schema_, row));
-  ++part.probe_rows_on_disk;
-  ++fctx->stats.probe_rows_spilled;
   return Status::OK();
 }
 
@@ -429,8 +211,8 @@ void SharedHashJoinBuild::AppendBuildProfile(OperatorProfile* node) const {
     node->counters.push_back({"bloom_published", 1});
     node->counters.push_back({"bloom_merge_ns", bloom_merge_ns_});
   }
-  if (spill_partitions_ > 0) {
-    node->counters.push_back({"spill_partitions", spill_partitions_});
+  if (table_ != nullptr && table_->spill_partitions() > 0) {
+    node->counters.push_back({"spill_partitions", table_->spill_partitions()});
   }
   if (profile_fragments_ > 0) {
     OperatorProfile child = build_profile_;
@@ -539,6 +321,7 @@ Result<bool> HashJoinProbeOperator::PumpProbe() {
   const RowFormat& build_format = shared_->build_format();
   const std::vector<int>& build_keys = shared_->options().build_keys;
   const std::vector<int>& probe_keys = shared_->options().probe_keys;
+  JoinBuildTable& table = shared_->table();
   for (;;) {
     if (probe_batch_ == nullptr) {
       VSTORE_ASSIGN_OR_RETURN(Batch * batch, probe_->Next());
@@ -572,12 +355,13 @@ Result<bool> HashJoinProbeOperator::PumpProbe() {
         continue;
       }
       uint64_t hash = probe_hashes_[static_cast<size_t>(probe_row_)];
-      int p = shared_->PartitionOf(hash);
-      SharedHashJoinBuild::Partition& part = shared_->partition(p);
+      const int p = table.PartitionOf(hash);
+      JoinBuildTable::Partition& part = table.partition(p);
 
       if (part.spilled) {
-        VSTORE_RETURN_IF_ERROR(shared_->SpillProbeRow(
-            p, probe_batch_->GetActiveRow(probe_row_), ctx_));
+        VSTORE_RETURN_IF_ERROR(table.SpillProbeRow(
+            p, shared_->probe_schema(), probe_batch_->GetActiveRow(probe_row_),
+            ctx_));
         ++probe_rows_spilled_;
         ++probe_rows_;
         ++probe_row_;
@@ -635,8 +419,8 @@ Result<bool> HashJoinProbeOperator::PumpSpill() {
       phase_ = Phase::kDone;
       return out_rows_ > 0;
     }
-    SharedHashJoinBuild::Partition& part =
-        shared_->partition(drain_partition_);
+    JoinBuildTable::Partition& part =
+        shared_->table().partition(drain_partition_);
     if (!part.spilled) {
       ++drain_partition_;
       continue;

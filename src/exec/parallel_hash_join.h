@@ -1,8 +1,6 @@
 #ifndef VSTORE_EXEC_PARALLEL_HASH_JOIN_H_
 #define VSTORE_EXEC_PARALLEL_HASH_JOIN_H_
 
-#include <atomic>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -21,8 +19,9 @@ namespace vstore {
 // probe fragment's HashJoinProbeOperator. The first fragment to Open()
 // runs the build inside EnsureBuilt(): `build_dop` threads each lower one
 // build-side fragment through `factory` (disjoint row-group stripes when
-// the build side is a plain scan chain) and insert rows into
-// hash-partitioned shared state under per-partition locks. Joining the
+// the build side is a plain scan chain) and insert its batches into one
+// shared JoinBuildTable — the serial join's build routine, here with
+// several inserters taking one partition lock per batch run. Joining the
 // build threads forms the barrier, after which the per-partition chained
 // tables and the pushed-down Bloom filter are constructed in parallel —
 // each finalize thread fills a private filter and the results are OR-merged.
@@ -30,13 +29,12 @@ namespace vstore {
 // it finishes; afterwards every fragment probes the same tables with no
 // synchronization.
 //
-// Spilling: when the resident build exceeds `memory_budget`, the inserting
-// thread flushes the largest resident partition to a temp file (spill_mu_
-// serializes victim selection so exactly one flush runs at a time). Probe
-// fragments append probe rows of spilled partitions to a shared
-// per-partition file under the partition lock; the last fragment to finish
-// probing (FinishProbeFragment) drains the spilled partition pairs through
-// the single-threaded grace-join path.
+// Spilling: the JoinBuildTable flushes partitions once the resident build
+// exceeds `memory_budget` (or the query's budget). Probe fragments append
+// probe rows of spilled partitions to a shared per-partition file under
+// the partition lock; the last fragment to finish probing
+// (FinishProbeFragment) drains the spilled partition pairs through the
+// single-threaded grace-join path.
 //
 // A SharedHashJoinBuild supports one execution; the executor lowers a
 // fresh physical plan per query, so operators over it are never reopened.
@@ -51,22 +49,6 @@ class SharedHashJoinBuild {
   using BuildFactory = std::function<Result<BatchOperatorPtr>(
       int fragment, ExecContext* fragment_ctx,
       std::shared_ptr<void>* resources)>;
-
-  struct Partition {
-    std::mutex mu;  // guards all mutable fields during build + probe spill
-    std::unique_ptr<Arena> arena;
-    std::vector<uint8_t*> rows;  // entry pointers (header + payload)
-    // Mirror of arena bytes, readable without the partition lock for spill
-    // victim selection.
-    std::atomic<int64_t> bytes{0};
-    bool spilled = false;
-    std::FILE* build_file = nullptr;
-    std::FILE* probe_file = nullptr;
-    int64_t build_rows_on_disk = 0;
-    int64_t probe_rows_on_disk = 0;
-    // Built at the finalize barrier; read-only once EnsureBuilt returns.
-    std::unique_ptr<SerializedRowHashTable> table;
-  };
 
   SharedHashJoinBuild(Schema build_schema, Schema probe_schema,
                       Options options, BuildFactory factory, int build_dop,
@@ -86,17 +68,13 @@ class SharedHashJoinBuild {
   const BloomFilter* bloom_target() const { return options_.bloom_target; }
 
   int num_partitions() const { return options_.num_partitions; }
-  int PartitionOf(uint64_t hash) const {
-    return static_cast<int>(hash >> partition_shift_);
-  }
   // Valid after EnsureBuilt(); partitions are read-only by then (the
-  // drain additionally reads the spill files, single-threaded).
-  Partition& partition(int p) { return *partitions_[static_cast<size_t>(p)]; }
-  bool has_spilled_partitions() const { return spill_partitions_ > 0; }
-
-  // Thread-safe append of a probe row belonging to spilled partition `p`.
-  Status SpillProbeRow(int p, const std::vector<Value>& row,
-                       ExecContext* fctx);
+  // drain additionally reads the spill files, single-threaded), apart from
+  // SpillProbeRow's thread-safe appends to spilled partitions.
+  JoinBuildTable& table() { return *table_; }
+  bool has_spilled_partitions() const {
+    return table_->spill_partitions() > 0;
+  }
 
   // Each probe fragment calls this exactly once when its probe input is
   // exhausted; returns true for the last fragment, which then owns the
@@ -109,11 +87,9 @@ class SharedHashJoinBuild {
   // build counters (per-fragment rows, lock/merge wait times).
   void AppendBuildProfile(OperatorProfile* node) const;
 
-  int64_t peak_bytes() const {
-    return peak_bytes_.load(std::memory_order_relaxed);
-  }
+  int64_t peak_bytes() const { return table_->peak_bytes(); }
   int64_t spill_bytes() const {
-    return spill_bytes_.load(std::memory_order_relaxed);
+    return table_ != nullptr ? table_->spill_bytes() : 0;
   }
   // Non-null once RunBuild has started under a tracking query; fragment 0's
   // probe operator folds its peak into the profile, and the draining
@@ -126,16 +102,6 @@ class SharedHashJoinBuild {
   // Builds partition tables and a thread-private Bloom filter for the
   // partitions striped to finalize thread `stripe`.
   Status FinalizeStripe(int stripe, int64_t total_rows);
-  // Flushes the largest resident partition if still over budget (always
-  // when `query_pressure`: the query-level tracker crossed its budget, so
-  // shed the largest partition regardless of the local budget).
-  Status MaybeSpill(ExecContext* fctx, bool query_pressure);
-  Status SpillPartitionLocked(Partition* part, ExecContext* fctx);
-  // WriteSpillRow plus shared + global spill-byte accounting.
-  Status SpillRowLocked(std::FILE* f, const Schema& schema,
-                        const std::vector<Value>& row);
-  // Consumes the budget-crossing edge / polls the query tracker.
-  bool QueryMemoryPressure() const;
 
   Schema build_schema_;
   Schema probe_schema_;
@@ -144,21 +110,12 @@ class SharedHashJoinBuild {
   int build_dop_;
   int64_t memory_budget_;
   RowFormat build_format_;
-  int partition_shift_;
 
   // Shared build tracker under the query tracker (created in RunBuild when
-  // the caller's context carries one); declared before partitions_ so the
+  // the caller's context carries one); declared before table_ so the
   // partition arenas/tables release into a live tracker on destruction.
   std::unique_ptr<MemoryTracker> mem_;
-  MemoryTracker* query_tracker_ = nullptr;
-  mutable std::atomic<bool> pressure_{false};
-  int pressure_listener_ = 0;
-  std::atomic<int64_t> spill_bytes_{0};
-
-  std::vector<std::unique_ptr<Partition>> partitions_;
-  std::atomic<int64_t> total_bytes_{0};
-  std::atomic<int64_t> peak_bytes_{0};
-  std::mutex spill_mu_;  // serializes victim selection + flush
+  std::unique_ptr<JoinBuildTable> table_;  // created by RunBuild
 
   // Build orchestration: first EnsureBuilt caller runs the build while the
   // mutex holds the others; the saved status is returned to all.
@@ -177,7 +134,6 @@ class SharedHashJoinBuild {
   int64_t build_ns_ = 0;        // phase 1: parallel scan + insert
   int64_t table_build_ns_ = 0;  // phase 2: table + bloom finalize
   int64_t build_rows_ = 0;
-  int64_t spill_partitions_ = 0;
 
   // Probe-side coordination (guarded by merge_mu_).
   int active_probe_fragments_;

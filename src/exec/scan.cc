@@ -35,20 +35,6 @@ int CompareValueTo(const Value& a, const Value& b) {
   return 0;
 }
 
-// Single-key hashes matching RowFormat::HashKeysFromBatch for a one-column
-// key, so Bloom filters built by hash joins test positive here.
-uint64_t HashVectorValue(const ColumnVector& cv, int64_t i) {
-  switch (cv.physical_type()) {
-    case PhysicalType::kInt64:
-      return SingleKeyHash(HashInt64(static_cast<uint64_t>(cv.ints()[i])));
-    case PhysicalType::kDouble:
-      return SingleKeyHash(HashInt64(std::bit_cast<uint64_t>(cv.doubles()[i])));
-    case PhysicalType::kString:
-      return SingleKeyHash(Hash64(cv.strings()[i]));
-  }
-  return 0;
-}
-
 uint64_t HashValue(const Value& v) {
   switch (PhysicalTypeOf(v.type())) {
     case PhysicalType::kInt64:
@@ -290,7 +276,7 @@ void ColumnStoreScanOperator::ApplyBloom(const BloomFilterSpec& spec,
   int64_t dropped = 0;
   for (int64_t i = 0; i < n; ++i) {
     if (!active[i]) continue;
-    if (!valid[i] || !spec.filter->MayContain(HashVectorValue(cv, i))) {
+    if (!valid[i] || !spec.filter->MayContain(SingleKeyHashAt(cv, i))) {
       active[i] = 0;
       ++dropped;
     }

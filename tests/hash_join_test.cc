@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "common/random.h"
 #include "exec/hash_join.h"
 #include "test_operators.h"
@@ -54,6 +58,76 @@ HashJoinOperator::Options InnerOn0() {
   options.probe_keys = {0};
   options.build_keys = {0};
   return options;
+}
+
+// The join build and probe both hash keys with the batch kernel
+// HashKeysBatch; it must agree with the row-at-a-time RowFormat hash on
+// every active row, and single-column hashes must agree with the hash the
+// scan's Bloom probe tests, or pushed-down filters would drop joining rows.
+TEST(HashKeysTest, BatchKernelMatchesRowHashAndBloomHash) {
+  const Schema schema({{"i", DataType::kInt64, true},
+                       {"d", DataType::kDouble, true},
+                       {"s", DataType::kString, true}});
+  const double specials[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(uint64_t{0x7ff0000000000001}),  // signaling NaN
+      std::bit_cast<double>(uint64_t{0x7ff8dead0000beef}),  // NaN payload
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min()};
+  const int64_t kSpecials = static_cast<int64_t>(std::size(specials));
+  const int64_t n = 500;
+  Batch batch(schema, n);
+  Random rng(91);
+  ColumnVector& ci = batch.column(0);
+  ColumnVector& cd = batch.column(1);
+  ColumnVector& cs = batch.column(2);
+  for (int64_t r = 0; r < n; ++r) {
+    ci.mutable_ints()[r] = r % 50 == 0 ? std::numeric_limits<int64_t>::min()
+                                       : rng.Uniform(-1000, 1000);
+    cd.mutable_doubles()[r] =
+        r < 4 * kSpecials ? specials[r % kSpecials]
+                          : static_cast<double>(rng.Uniform(-500, 500)) / 8.0;
+    const std::string str =
+        r % 17 == 0 ? "" : "key-" + std::to_string(rng.Uniform(0, 300));
+    cs.mutable_strings()[r] = batch.arena()->CopyString(str);
+    ci.mutable_validity()[r] = r % 7 != 3;
+    cd.mutable_validity()[r] = r % 11 != 5;
+    cs.mutable_validity()[r] = r % 13 != 2;
+  }
+  batch.set_num_rows(n);
+  // Sparse active mask, as a filter leaves it: roughly a third survive.
+  for (int64_t r = 0; r < n; ++r) {
+    batch.mutable_active()[r] = rng.Uniform(0, 2) == 0;
+  }
+  batch.RecountActive();
+  ASSERT_GT(batch.active_count(), 0);
+  ASSERT_LT(batch.active_count(), n);
+
+  const RowFormat format(schema);
+  const std::vector<std::vector<int>> key_sets = {
+      {0}, {1}, {2}, {0, 2}, {2, 0}, {1, 2}, {0, 1, 2}};
+  std::vector<uint64_t> hashes(static_cast<size_t>(n));
+  for (const std::vector<int>& keys : key_sets) {
+    HashKeysBatch(batch, keys, batch.active(), hashes.data());
+    int64_t checked = 0;
+    for (int64_t r = 0; r < n; ++r) {
+      if (!batch.active()[r]) continue;
+      const uint64_t h = hashes[static_cast<size_t>(r)];
+      ASSERT_EQ(h, format.HashKeysFromBatch(batch, r, keys))
+          << "row " << r << ", " << keys.size() << " key(s)";
+      const bool null_key = !batch.column(keys[0]).validity()[r];
+      if (keys.size() == 1 && !null_key) {
+        ASSERT_EQ(h, SingleKeyHashAt(batch.column(keys[0]), r))
+            << "row " << r << ", key " << keys[0];
+      }
+      ++checked;
+    }
+    EXPECT_EQ(checked, batch.active_count());
+  }
 }
 
 TEST(HashJoinTest, InnerBasic) {

@@ -2,8 +2,10 @@
 // shared-build joins at dop 4-6 repeatedly — resident and spilling — and
 // checks the merged stats and profile counters come out identical on every
 // run. Build with -DVSTORE_SANITIZE=thread to let TSan watch the shared
-// build inserts, Bloom merges, and spill coordination; the ctest label
-// "stress" lets CI schedule it separately.
+// build inserts, Bloom merges, and spill coordination — driven by the
+// operator budget and by query-level memory pressure, which every build
+// thread polls once per batch; the ctest label "stress" lets CI schedule
+// it separately.
 
 #include <gtest/gtest.h>
 
@@ -57,11 +59,12 @@ PlanPtr JoinPlan(const Catalog& catalog) {
 }
 
 QueryResult RunQuery(const Catalog& catalog, const PlanPtr& plan, int dop,
-                int64_t memory_budget = 0) {
+                int64_t memory_budget = 0, int64_t query_budget = 0) {
   QueryOptions options;
   options.mode = ExecutionMode::kBatch;
   options.dop = dop;
   options.operator_memory_budget = memory_budget;
+  options.query_memory_budget = query_budget;
   QueryExecutor exec(&catalog, options);
   return exec.Execute(plan).ValueOrDie();
 }
@@ -103,6 +106,29 @@ TEST(ParallelJoinStressTest, RepeatedSpillingParallelJoinIsRaceFreeAndExact) {
     // shared probe spill files, single-threaded drain) under TSan too.
     QueryResult result = RunQuery(f.catalog, plan, dop, /*memory_budget=*/16 * 1024);
     ASSERT_GT(result.stats.spill_partitions, 0) << "run " << r;
+    ASSERT_EQ(result.rows_returned, baseline.rows_returned)
+        << "dop " << dop << " run " << r;
+    ASSERT_EQ(result.profile.CounterDeep("build_rows"),
+              baseline.profile.CounterDeep("build_rows"))
+        << "run " << r;
+  }
+}
+
+TEST(ParallelJoinStressTest, RepeatedQueryBudgetParallelJoinIsRaceFreeAndExact) {
+  StressFixture f;
+  PlanPtr plan = JoinPlan(f.catalog);
+  QueryResult baseline = RunQuery(f.catalog, plan, 1);
+
+  const int repeats = Repeats();
+  for (int r = 0; r < repeats; ++r) {
+    int dop = 4 + (r % 3);
+    // No operator budget: spilling is driven only by the query tracker's
+    // budget-crossing edge and over_budget() polls, which the build
+    // threads consume concurrently at their batch boundaries.
+    QueryResult result = RunQuery(f.catalog, plan, dop, /*memory_budget=*/0,
+                                  /*query_budget=*/32 * 1024);
+    ASSERT_GT(result.stats.spill_partitions, 0) << "run " << r;
+    ASSERT_GT(result.spill_bytes, 0) << "run " << r;
     ASSERT_EQ(result.rows_returned, baseline.rows_returned)
         << "dop " << dop << " run " << r;
     ASSERT_EQ(result.profile.CounterDeep("build_rows"),

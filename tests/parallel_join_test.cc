@@ -1,15 +1,18 @@
 // Differential tests for the parallel batch-mode hash join: a dop-4 plan
 // (shared multi-threaded build, fragmented probe through an exchange) must
 // return exactly the rows of the dop-1 serial join — across join types,
-// with and without spilling — and compose with the parallel-aggregate
+// with and without spilling, over NULL keys, two-column keys and filtered
+// (sparse) build batches — and compose with the parallel-aggregate
 // rewrite into a single fragment tree. Also pins the EXPLAIN ANALYZE
-// surface: per-fragment build counters on the probe node.
+// surface: per-fragment build counters on the probe node, and the same
+// build timers on the serial join.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "query/executor.h"
 #include "test_operators.h"
 
@@ -55,9 +58,10 @@ PlanPtr JoinPlan(const Catalog& catalog, JoinType type) {
 }
 
 QueryResult RunQuery(const Catalog& catalog, const PlanPtr& plan, int dop,
-                int64_t memory_budget = 0) {
+                int64_t memory_budget = 0,
+                ExecutionMode mode = ExecutionMode::kBatch) {
   QueryOptions options;
-  options.mode = ExecutionMode::kBatch;
+  options.mode = mode;
   options.dop = dop;
   options.operator_memory_budget = memory_budget;
   QueryExecutor exec(&catalog, options);
@@ -204,6 +208,148 @@ TEST(ParallelJoinTest, ExplainAnalyzeShowsPerFragmentBuildCounters) {
   EXPECT_GE(probe->Counter("build_ns", -1), 0);
   EXPECT_GE(probe->Counter("table_build_ns", -1), 0);
   EXPECT_GE(probe->Counter("build_lock_wait_ns", -1), 0);
+
+  // The serial join reports its build under the same timer names, so a
+  // dop-1 and a dop-4 build compare directly.
+  QueryResult serial = RunQuery(f.catalog, plan, 1);
+  const OperatorProfile* join = FindNode(serial.profile, "HashJoin(");
+  ASSERT_NE(join, nullptr);
+  EXPECT_GE(join->Counter("build_ns", -1), 0);
+  EXPECT_GE(join->Counter("table_build_ns", -1), 0);
+}
+
+// --- NULL keys, two-column keys, sparse build batches ----------------------
+
+// Nullable join keys with duplicates: about one k in nine and one tag in
+// eleven is NULL; `val` (never NULL) drives a filter below the build.
+// Column names are `prefix` + k/tag/val, so the two sides of a join need no
+// renaming Project (which would compact the build's batches).
+TableData NullableKeyTable(const std::string& prefix, int64_t rows,
+                           int64_t key_range, uint64_t seed) {
+  Schema schema({{prefix + "k", DataType::kInt64, true},
+                 {prefix + "tag", DataType::kString, true},
+                 {prefix + "val", DataType::kInt64, false}});
+  TableData data(schema);
+  Random rng(seed);
+  const char* tags[] = {"red", "green", "blue"};
+  for (int64_t i = 0; i < rows; ++i) {
+    if (rng.Uniform(0, 8) == 0) {
+      data.column(0).AppendNull();
+    } else {
+      data.column(0).AppendInt64(rng.Uniform(0, key_range));
+    }
+    if (rng.Uniform(0, 10) == 0) {
+      data.column(1).AppendNull();
+    } else {
+      data.column(1).AppendString(tags[rng.Uniform(0, 2)]);
+    }
+    data.column(2).AppendInt64(rng.Uniform(0, 99));
+  }
+  return data;
+}
+
+struct NullKeyFixture {
+  Catalog catalog;
+  TableData dim_data = NullableKeyTable("d", 8000, 4999, /*seed=*/11);
+
+  NullKeyFixture() {
+    Add("nfact", NullableKeyTable("", 20000, 3999, /*seed=*/12));
+    Add("ndim", dim_data);
+  }
+
+  void Add(const std::string& name, const TableData& data) {
+    ColumnStoreTable::Options options;
+    options.row_group_size = 1000;
+    options.min_compress_rows = 10;
+    auto cs = std::make_unique<ColumnStoreTable>(name, data.schema(), options);
+    cs->BulkLoad(data).CheckOK();
+    cs->CompressDeltaStores(true).status().CheckOK();
+    catalog.AddColumnStore(std::move(cs)).CheckOK();
+  }
+};
+
+enum class KeyShape { kInt, kIntString, kIntStringFiltered };
+
+const char* KeyShapeName(KeyShape shape) {
+  switch (shape) {
+    case KeyShape::kInt:
+      return "int64";
+    case KeyShape::kIntString:
+      return "int64+string";
+    case KeyShape::kIntStringFiltered:
+      return "int64+string over filtered build";
+  }
+  return "?";
+}
+
+// nfact (k, tag, val) joined to ndim (dk, dtag, dval). The filtered shape
+// drops ~40% of the build rows in place, so build batches arrive with
+// sparse active masks.
+PlanPtr NullKeyJoinPlan(const Catalog& catalog, JoinType type,
+                        KeyShape shape) {
+  PlanBuilder dim = PlanBuilder::Scan(catalog, "ndim");
+  if (shape == KeyShape::kIntStringFiltered) {
+    dim.Filter(expr::Ge(expr::Column(dim.schema(), "dval"),
+                        expr::Lit(Value::Int64(40))));
+  }
+  PlanBuilder b = PlanBuilder::Scan(catalog, "nfact");
+  if (shape == KeyShape::kInt) {
+    b.Join(type, dim.Build(), {"k"}, {"dk"});
+  } else {
+    b.Join(type, dim.Build(), {"k", "tag"}, {"dk", "dtag"});
+  }
+  return b.Build();
+}
+
+TEST(ParallelJoinTest, NullAndCompositeKeysMatchSerialAndRowMode) {
+  NullKeyFixture f;
+  const int64_t kBudget = 16 * 1024;
+  for (KeyShape shape : {KeyShape::kInt, KeyShape::kIntString,
+                         KeyShape::kIntStringFiltered}) {
+    for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
+                          JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+      PlanPtr plan = NullKeyJoinPlan(f.catalog, type, shape);
+      const std::string label =
+          std::string(KeyShapeName(shape)) + " " + JoinTypeName(type);
+      std::vector<std::string> serial =
+          SortedRowStrings(RunQuery(f.catalog, plan, 1));
+      ASSERT_FALSE(serial.empty()) << label;
+      EXPECT_EQ(SortedRowStrings(RunQuery(f.catalog, plan, 1, 0,
+                                          ExecutionMode::kRow)),
+                serial)
+          << label << " row mode";
+      for (int dop : {1, 4}) {
+        EXPECT_EQ(SortedRowStrings(RunQuery(f.catalog, plan, dop)), serial)
+            << label << " dop " << dop;
+        QueryResult spilled = RunQuery(f.catalog, plan, dop, kBudget);
+        EXPECT_GT(spilled.stats.spill_partitions, 0)
+            << label << " dop " << dop;
+        EXPECT_EQ(SortedRowStrings(spilled), serial)
+            << label << " dop " << dop << " spilled";
+      }
+    }
+  }
+}
+
+TEST(ParallelJoinTest, NullBuildKeysAreDroppedAtBuild) {
+  NullKeyFixture f;
+  int64_t non_null = 0;
+  for (int64_t i = 0; i < f.dim_data.num_rows(); ++i) {
+    non_null += f.dim_data.column(0).GetValue(i).is_null() ? 0 : 1;
+  }
+  ASSERT_LT(non_null, f.dim_data.num_rows());
+  PlanPtr plan = NullKeyJoinPlan(f.catalog, JoinType::kInner, KeyShape::kInt);
+
+  QueryResult serial = RunQuery(f.catalog, plan, 1);
+  const OperatorProfile* serial_join = FindNode(serial.profile, "HashJoin(");
+  ASSERT_NE(serial_join, nullptr);
+  EXPECT_EQ(serial_join->Counter("build_rows"), non_null);
+
+  QueryResult parallel = RunQuery(f.catalog, plan, 4);
+  const OperatorProfile* probe = FindNode(parallel.profile, "HashJoinProbe");
+  ASSERT_NE(probe, nullptr);
+  EXPECT_GE(probe->Counter("build_fragments"), 2);
+  EXPECT_EQ(probe->Counter("build_rows"), non_null);
 }
 
 }  // namespace
