@@ -520,10 +520,14 @@ Status HashAggregateOperator::ConsumeInput() {
       } else {
         UpdateStateFromBatch(entry_state(entry), *batch, i);
       }
-      RecordPeakMemory(static_cast<int64_t>(arena_->bytes_allocated()));
-      if (!entries_.empty() && UnderMemoryPressure(budget)) {
-        VSTORE_RETURN_IF_ERROR(FlushToPartitions());
-      }
+    }
+    // Pressure is polled once per input batch, as the join build does: the
+    // query tracker's over-budget state is level-triggered, so a per-row
+    // poll would flush the whole table on every row while other operators
+    // hold the query over its budget.
+    RecordPeakMemory(static_cast<int64_t>(arena_->bytes_allocated()));
+    if (!entries_.empty() && UnderMemoryPressure(budget)) {
+      VSTORE_RETURN_IF_ERROR(FlushToPartitions());
     }
   }
   input_->Close();

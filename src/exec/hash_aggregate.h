@@ -23,8 +23,9 @@ enum class AggPhase { kComplete, kPartial, kFinal };
 
 // Batch-mode hash aggregation (paper §5.4). Groups are kept in a hash
 // table of serialized keys with fixed-size accumulator state appended to
-// each entry. When the state exceeds the context's operator_memory_budget,
-// the whole table is flushed as partial aggregates into hash-partitioned
+// each entry. When the state exceeds the context's operator_memory_budget
+// (or the query is over its budget) at the end of an input batch, the
+// whole table is flushed as partial aggregates into hash-partitioned
 // temp files and re-merged partition by partition at the end — merging
 // partials is exact for every supported function (AVG carries sum+count).
 //

@@ -37,62 +37,30 @@ Schema HashJoinOutputSchema(const Schema& probe, const Schema& build,
   return Schema(std::move(fields));
 }
 
-void JoinRowEmitter::EmitFromBatch(Batch* output, const Batch& probe,
-                                   int64_t row, const uint8_t* build_row,
-                                   int64_t out_row) const {
-  const int probe_cols = probe.num_columns();
-  for (int c = 0; c < probe_cols; ++c) {
-    const ColumnVector& src = probe.column(c);
-    ColumnVector& dst = output->column(c);
-    dst.mutable_validity()[out_row] = src.validity()[row];
-    switch (src.physical_type()) {
-      case PhysicalType::kInt64:
-        dst.mutable_ints()[out_row] = src.ints()[row];
-        break;
-      case PhysicalType::kDouble:
-        dst.mutable_doubles()[out_row] = src.doubles()[row];
-        break;
-      case PhysicalType::kString:
-        // Probe batch arenas are reused across batches while this output
-        // accumulates rows from several of them — copy.
-        dst.mutable_strings()[out_row] =
-            output->arena()->CopyString(src.strings()[row]);
-        break;
+namespace {
+
+// Reads up to batch->capacity() spilled rows into `batch`, all active;
+// returns the number read (0 at end of file).
+Result<int64_t> ReadSpillBatch(std::FILE* f, const Schema& schema,
+                               Batch* batch) {
+  batch->Reset();
+  std::vector<Value> row;
+  int64_t n = 0;
+  while (n < batch->capacity()) {
+    VSTORE_ASSIGN_OR_RETURN(bool more, ReadSpillRow(f, schema, &row));
+    if (!more) break;
+    for (int c = 0; c < batch->num_columns(); ++c) {
+      batch->column(c).SetValue(n, row[static_cast<size_t>(c)],
+                                batch->arena());
     }
+    ++n;
   }
-  if (!emit_build_columns_) return;
-  const int build_cols = build_format_->num_columns();
-  for (int c = 0; c < build_cols; ++c) {
-    ColumnVector& dst = output->column(probe_cols + c);
-    if (build_row == nullptr) {
-      dst.mutable_validity()[out_row] = 0;
-    } else {
-      build_format_->CopyToVector(build_row, c, &dst, out_row,
-                                  output->arena());
-    }
-  }
+  batch->set_num_rows(n);
+  batch->ActivateAll();
+  return n;
 }
 
-void JoinRowEmitter::EmitFromSerialized(Batch* output,
-                                        const uint8_t* probe_row,
-                                        const uint8_t* build_row,
-                                        int64_t out_row) const {
-  const int probe_cols = probe_format_->num_columns();
-  for (int c = 0; c < probe_cols; ++c) {
-    probe_format_->CopyToVector(probe_row, c, &output->column(c), out_row,
-                                output->arena());
-  }
-  if (!emit_build_columns_) return;
-  for (int c = 0; c < build_format_->num_columns(); ++c) {
-    ColumnVector& dst = output->column(probe_cols + c);
-    if (build_row == nullptr) {
-      dst.mutable_validity()[out_row] = 0;
-    } else {
-      build_format_->CopyToVector(build_row, c, &dst, out_row,
-                                  output->arena());
-    }
-  }
-}
+}  // namespace
 
 JoinBuildTable::JoinBuildTable(const Schema& schema, const RowFormat& format,
                                const HashJoinOptions& options,
@@ -332,16 +300,17 @@ Status JoinBuildTable::Finalize(int stripe, int stride, BloomFilter* bloom) {
       // Spilled build rows still participate in the filter (the filter
       // reflects the whole build side, resident or not).
       std::rewind(part.build_file);
-      std::vector<Value> row;
-      std::vector<uint8_t> buf(format_.row_size());
-      Arena scratch;
+      Batch batch(schema_, kDefaultBatchSize);
+      std::vector<uint64_t> hashes(static_cast<size_t>(batch.capacity()));
       for (;;) {
-        VSTORE_ASSIGN_OR_RETURN(bool more,
-                                ReadSpillRow(part.build_file, schema_, &row));
-        if (!more) break;
-        format_.WriteValues(buf.data(), row, &scratch);
-        bloom->Insert(format_.HashKeys(buf.data(), options_.build_keys));
-        scratch.Reset();
+        VSTORE_ASSIGN_OR_RETURN(
+            int64_t n, ReadSpillBatch(part.build_file, schema_, &batch));
+        if (n == 0) break;
+        HashKeysBatch(batch, options_.build_keys, batch.active(),
+                      hashes.data());
+        for (int64_t i = 0; i < n; ++i) {
+          bloom->Insert(hashes[static_cast<size_t>(i)]);
+        }
       }
     }
   }
@@ -359,6 +328,226 @@ Status JoinBuildTable::SpillProbeRow(int p, const Schema& probe_schema,
   return Status::OK();
 }
 
+JoinProber::JoinProber(BatchOperator* probe, const Schema& probe_schema,
+                       const Schema& output_schema,
+                       const RowFormat& build_format,
+                       const HashJoinOptions& options, ExecContext* ctx,
+                       std::function<bool()> owns_drain)
+    : probe_(probe),
+      probe_schema_(probe_schema),
+      output_schema_(output_schema),
+      build_format_(build_format),
+      options_(options),
+      ctx_(ctx),
+      owns_drain_(std::move(owns_drain)) {}
+
+void JoinProber::Open(JoinBuildTable* table, MemoryTracker* drain_mem) {
+  table_ = table;
+  drain_mem_ = drain_mem;
+  output_ = std::make_unique<Batch>(output_schema_, ctx_->batch_size);
+  phase_ = Phase::kProbe;
+  probe_batch_ = nullptr;
+  drain_partition_ = 0;
+  drain_loaded_ = false;
+  probe_rows_ = 0;
+  probe_rows_spilled_ = 0;
+}
+
+void JoinProber::Close() {
+  output_.reset();
+  drain_table_.reset();
+  drain_arena_.reset();
+  drain_batch_.reset();
+  probe_batch_ = nullptr;
+  table_ = nullptr;
+}
+
+void JoinProber::SetProbeBatch(Batch* batch) {
+  probe_batch_ = batch;
+  probe_row_ = 0;
+  chain_ = nullptr;
+  row_matched_ = false;
+  hashes_.resize(static_cast<size_t>(batch->num_rows()));
+  HashKeysBatch(*batch, options_.probe_keys, batch->active(), hashes_.data());
+}
+
+Result<Batch*> JoinProber::Next() {
+  output_->Reset();
+  out_rows_ = 0;
+  while (phase_ != Phase::kDone) {
+    if (probe_batch_ != nullptr) {
+      VSTORE_ASSIGN_OR_RETURN(bool full, JoinRows());
+      if (full) break;
+      probe_batch_ = nullptr;
+    } else if (phase_ == Phase::kProbe) {
+      VSTORE_ASSIGN_OR_RETURN(Batch * batch, probe_->Next());
+      if (batch == nullptr) {
+        phase_ = owns_drain_() ? Phase::kDrain : Phase::kDone;
+      } else {
+        probe_rows_ += batch->active_count();
+        SetProbeBatch(batch);
+      }
+    } else {
+      VSTORE_ASSIGN_OR_RETURN(bool more, NextDrainBatch());
+      if (!more) phase_ = Phase::kDone;
+    }
+  }
+  if (out_rows_ == 0) return static_cast<Batch*>(nullptr);
+  output_->set_num_rows(out_rows_);
+  output_->ActivateAll();
+  return output_.get();
+}
+
+Result<bool> JoinProber::JoinRows() {
+  const JoinType jt = options_.join_type;
+  const bool emit_matches = JoinEmitsBuildColumns(jt);
+  const uint8_t* active = probe_batch_->active();
+  for (; probe_row_ < probe_batch_->num_rows(); ++probe_row_) {
+    if (!active[probe_row_]) continue;
+    const uint64_t hash = hashes_[static_cast<size_t>(probe_row_)];
+    if (chain_ == nullptr && !row_matched_) {
+      // Drained rows all belong to the reloaded partition; probe rows of a
+      // spilled partition wait for its drain.
+      const SerializedRowHashTable* chains = drain_table_.get();
+      if (phase_ == Phase::kProbe) {
+        const int p = table_->PartitionOf(hash);
+        JoinBuildTable::Partition& part = table_->partition(p);
+        if (part.spilled) {
+          VSTORE_RETURN_IF_ERROR(table_->SpillProbeRow(
+              p, probe_schema_, probe_batch_->GetActiveRow(probe_row_), ctx_));
+          ++probe_rows_spilled_;
+          continue;
+        }
+        chains = part.table.get();
+      }
+      chain_ = chains->ChainHead(hash);
+    }
+    while (chain_ != nullptr) {
+      if (out_rows_ == output_->capacity()) return true;
+      const uint8_t* entry = chain_;
+      chain_ = SerializedRowHashTable::ChainNext(entry);
+      const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
+      if (SerializedRowHashTable::EntryHash(entry) != hash ||
+          !build_format_.KeysEqualBatch(payload, options_.build_keys,
+                                        *probe_batch_, probe_row_,
+                                        options_.probe_keys)) {
+        continue;
+      }
+      row_matched_ = true;
+      if (!emit_matches) {
+        chain_ = nullptr;  // semi/anti need only existence
+        break;
+      }
+      Emit(payload);
+    }
+    // Chain exhausted: semi joins emit a matched row once, anti and outer
+    // joins an unmatched one (outer null-extends it).
+    const bool emit_probe_row =
+        jt == JoinType::kLeftSemi ? row_matched_
+                                  : jt != JoinType::kInner && !row_matched_;
+    if (emit_probe_row) {
+      if (out_rows_ == output_->capacity()) return true;
+      Emit(nullptr);
+    }
+    row_matched_ = false;
+  }
+  return false;
+}
+
+void JoinProber::Emit(const uint8_t* build_row) {
+  const int64_t out_row = out_rows_++;
+  const int probe_cols = probe_batch_->num_columns();
+  for (int c = 0; c < probe_cols; ++c) {
+    const ColumnVector& src = probe_batch_->column(c);
+    ColumnVector& dst = output_->column(c);
+    dst.mutable_validity()[out_row] = src.validity()[probe_row_];
+    switch (src.physical_type()) {
+      case PhysicalType::kInt64:
+        dst.mutable_ints()[out_row] = src.ints()[probe_row_];
+        break;
+      case PhysicalType::kDouble:
+        dst.mutable_doubles()[out_row] = src.doubles()[probe_row_];
+        break;
+      case PhysicalType::kString:
+        // Probe batch arenas are reused across batches while this output
+        // accumulates rows from several of them — copy.
+        dst.mutable_strings()[out_row] =
+            output_->arena()->CopyString(src.strings()[probe_row_]);
+        break;
+    }
+  }
+  if (!JoinEmitsBuildColumns(options_.join_type)) return;
+  for (int c = 0; c < build_format_.num_columns(); ++c) {
+    ColumnVector& dst = output_->column(probe_cols + c);
+    if (build_row == nullptr) {
+      dst.mutable_validity()[out_row] = 0;
+    } else {
+      build_format_.CopyToVector(build_row, c, &dst, out_row,
+                                 output_->arena());
+    }
+  }
+}
+
+Result<bool> JoinProber::NextDrainBatch() {
+  for (; drain_partition_ < options_.num_partitions; ++drain_partition_) {
+    JoinBuildTable::Partition& part = table_->partition(drain_partition_);
+    if (!part.spilled) continue;
+    if (!drain_loaded_) {
+      VSTORE_RETURN_IF_ERROR(LoadDrainPartition(&part));
+      drain_loaded_ = true;
+    }
+    VSTORE_ASSIGN_OR_RETURN(
+        int64_t n,
+        ReadSpillBatch(part.probe_file, probe_schema_, drain_batch_.get()));
+    if (n > 0) {
+      SetProbeBatch(drain_batch_.get());
+      return true;
+    }
+    drain_loaded_ = false;
+  }
+  // Every partition is drained: release the last one's storage now rather
+  // than at Close.
+  drain_table_.reset();
+  drain_arena_.reset();
+  drain_batch_.reset();
+  return false;
+}
+
+Status JoinProber::LoadDrainPartition(JoinBuildTable::Partition* part) {
+  // Fresh storage per partition: resetting a grown arena would keep its
+  // block-size growth across partitions.
+  drain_table_.reset();
+  drain_arena_ = std::make_unique<Arena>();
+  drain_arena_->SetMemoryTracker(drain_mem_);
+  drain_table_ = std::make_unique<SerializedRowHashTable>(
+      std::max<int64_t>(part->build_rows_on_disk, 1));
+  drain_table_->SetMemoryTracker(drain_mem_);
+
+  const Schema& build_schema = table_->schema();
+  Batch build(build_schema, ctx_->batch_size);
+  std::vector<uint64_t> hashes(static_cast<size_t>(build.capacity()));
+  const size_t entry_size =
+      SerializedRowHashTable::kHeaderSize + build_format_.row_size();
+  std::rewind(part->build_file);
+  for (;;) {
+    VSTORE_ASSIGN_OR_RETURN(
+        int64_t n, ReadSpillBatch(part->build_file, build_schema, &build));
+    if (n == 0) break;
+    HashKeysBatch(build, options_.build_keys, build.active(), hashes.data());
+    for (int64_t i = 0; i < n; ++i) {
+      uint8_t* entry = drain_arena_->Allocate(entry_size);
+      build_format_.Write(entry + SerializedRowHashTable::kHeaderSize, build,
+                          i, drain_arena_.get());
+      drain_table_->Insert(entry, hashes[static_cast<size_t>(i)]);
+    }
+  }
+  std::rewind(part->probe_file);
+  if (drain_batch_ == nullptr) {
+    drain_batch_ = std::make_unique<Batch>(probe_schema_, ctx_->batch_size);
+  }
+  return Status::OK();
+}
+
 HashJoinOperator::HashJoinOperator(BatchOperatorPtr probe,
                                    BatchOperatorPtr build, Options options,
                                    ExecContext* ctx)
@@ -366,10 +555,12 @@ HashJoinOperator::HashJoinOperator(BatchOperatorPtr probe,
       build_(std::move(build)),
       options_(std::move(options)),
       ctx_(ctx),
+      output_schema_(HashJoinOutputSchema(probe_->output_schema(),
+                                          build_->output_schema(),
+                                          options_.join_type)),
       build_format_(build_->output_schema()),
-      probe_format_(probe_->output_schema()),
-      emit_build_columns_(JoinEmitsBuildColumns(options_.join_type)),
-      emitter_(&probe_format_, &build_format_, emit_build_columns_) {
+      prober_(probe_.get(), probe_->output_schema(), output_schema_,
+              build_format_, options_, ctx, [] { return true; }) {
   VSTORE_CHECK(!options_.probe_keys.empty() &&
                options_.probe_keys.size() == options_.build_keys.size());
   VSTORE_CHECK(std::has_single_bit(
@@ -380,8 +571,6 @@ HashJoinOperator::HashJoinOperator(BatchOperatorPtr probe,
                  options_.join_type == JoinType::kLeftSemi);
     bloom_ = options_.bloom_target;
   }
-  output_schema_ = HashJoinOutputSchema(
-      probe_->output_schema(), build_->output_schema(), options_.join_type);
   if (ctx_ != nullptr && ctx_->memory_tracker != nullptr) {
     mem_ = std::make_unique<MemoryTracker>(name(), "operator",
                                            ctx_->memory_tracker);
@@ -396,7 +585,7 @@ std::string HashJoinOperator::name() const {
 
 void HashJoinOperator::AppendProfileCounters(OperatorProfile* node) const {
   node->counters.push_back({"build_rows", build_rows_});
-  node->counters.push_back({"probe_rows", probe_rows_});
+  node->counters.push_back({"probe_rows", prober_.probe_rows()});
   // Same names as the shared build's counters, so a dop-1 build and a
   // dop-N build compare directly in EXPLAIN ANALYZE.
   node->counters.push_back({"build_ns", build_ns_});
@@ -404,7 +593,8 @@ void HashJoinOperator::AppendProfileCounters(OperatorProfile* node) const {
   if (spill_partitions_ > 0) {
     node->counters.push_back({"spill_partitions", spill_partitions_});
     node->counters.push_back({"build_rows_spilled", build_rows_spilled_});
-    node->counters.push_back({"probe_rows_spilled", probe_rows_spilled_});
+    node->counters.push_back(
+        {"probe_rows_spilled", prober_.probe_rows_spilled()});
   }
   if (bloom_ != nullptr) {
     node->counters.push_back({"bloom_published", 1});
@@ -439,238 +629,25 @@ Status HashJoinOperator::RunBuildPhase() {
 
 Status HashJoinOperator::OpenImpl() {
   table_.reset();
-  drain_arena_.SetMemoryTracker(mem_.get());
   if (mem_ != nullptr) mem_->ResetPeak();
   build_rows_ = 0;
   build_ns_ = 0;
   table_build_ns_ = 0;
-  probe_rows_ = 0;
   build_rows_spilled_ = 0;
-  probe_rows_spilled_ = 0;
   spill_partitions_ = 0;
-  output_ = std::make_unique<Batch>(output_schema_, ctx_->batch_size);
-  out_rows_ = 0;
-  phase_ = Phase::kBuild;
-
   VSTORE_RETURN_IF_ERROR(RunBuildPhase());
-  phase_ = Phase::kProbe;
+  prober_.Open(table_.get(), mem_.get());
   // Open the probe side only after the build completed, so pushed Bloom
   // filters are populated before the probe scan starts.
-  VSTORE_RETURN_IF_ERROR(probe_->Open());
-  probe_batch_ = nullptr;
-  probe_row_ = 0;
-  chain_ = nullptr;
-  row_matched_ = false;
-  drain_partition_ = 0;
-  drain_loaded_ = false;
-  drain_row_pending_ = false;
-  return Status::OK();
+  return probe_->Open();
 }
 
 void HashJoinOperator::CloseImpl() {
+  prober_.Close();
   RecordMemoryTracker(mem_.get());
   if (table_ != nullptr) RecordSpillBytes(table_->spill_bytes());
   table_.reset();  // frees the partitions and closes their spill files
-  output_.reset();
-  if (probe_batch_ != nullptr || phase_ != Phase::kBuild) {
-    probe_->Close();
-  }
-  probe_batch_ = nullptr;
-}
-
-Result<bool> HashJoinOperator::PumpProbe() {
-  const JoinType jt = options_.join_type;
-  for (;;) {
-    if (probe_batch_ == nullptr) {
-      VSTORE_ASSIGN_OR_RETURN(Batch * batch, probe_->Next());
-      if (batch == nullptr) {
-        phase_ = Phase::kSpillDrain;
-        return out_rows_ > 0;
-      }
-      probe_batch_ = batch;
-      probe_row_ = 0;
-      chain_ = nullptr;
-      row_matched_ = false;
-      const int64_t n = batch->num_rows();
-      probe_hashes_.resize(static_cast<size_t>(n));
-      HashKeysBatch(*batch, options_.probe_keys, batch->active(),
-                    probe_hashes_.data());
-    }
-
-    const uint8_t* active = probe_batch_->active();
-    while (probe_row_ < probe_batch_->num_rows()) {
-      if (!active[probe_row_]) {
-        ++probe_row_;
-        continue;
-      }
-      uint64_t hash = probe_hashes_[static_cast<size_t>(probe_row_)];
-      const int p = table_->PartitionOf(hash);
-      JoinBuildTable::Partition& part = table_->partition(p);
-
-      if (part.spilled) {
-        VSTORE_RETURN_IF_ERROR(table_->SpillProbeRow(
-            p, probe_->output_schema(), probe_batch_->GetActiveRow(probe_row_),
-            ctx_));
-        ++probe_rows_spilled_;
-        ++probe_rows_;
-        ++probe_row_;
-        continue;
-      }
-
-      if (chain_ == nullptr && !row_matched_) {
-        chain_ = part.table->ChainHead(hash);
-      }
-      while (chain_ != nullptr) {
-        if (out_rows_ == output_->capacity()) return true;
-        const uint8_t* entry = chain_;
-        const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-        if (SerializedRowHashTable::EntryHash(entry) == hash &&
-            build_format_.KeysEqualBatch(payload, options_.build_keys,
-                                         *probe_batch_, probe_row_,
-                                         options_.probe_keys)) {
-          row_matched_ = true;
-          if (jt == JoinType::kInner || jt == JoinType::kLeftOuter) {
-            emitter_.EmitFromBatch(output_.get(), *probe_batch_, probe_row_,
-                                   payload, out_rows_++);
-          } else {
-            chain_ = nullptr;  // semi/anti need only existence
-            break;
-          }
-        }
-        if (chain_ != nullptr) {
-          chain_ = SerializedRowHashTable::ChainNext(entry);
-        }
-      }
-
-      // Chain exhausted: row epilogue.
-      bool emit_probe_only =
-          (jt == JoinType::kLeftSemi && row_matched_) ||
-          (jt == JoinType::kLeftAnti && !row_matched_);
-      bool emit_null_extended = jt == JoinType::kLeftOuter && !row_matched_;
-      if (emit_probe_only || emit_null_extended) {
-        if (out_rows_ == output_->capacity()) return true;
-        emitter_.EmitFromBatch(output_.get(), *probe_batch_, probe_row_,
-                               nullptr, out_rows_++);
-      }
-      ++probe_rows_;
-      ++probe_row_;
-      chain_ = nullptr;
-      row_matched_ = false;
-    }
-    probe_batch_ = nullptr;
-  }
-}
-
-Result<bool> HashJoinOperator::PumpSpill() {
-  const JoinType jt = options_.join_type;
-  const Schema& probe_schema = probe_->output_schema();
-  for (;;) {
-    if (drain_partition_ >= options_.num_partitions) {
-      phase_ = Phase::kDone;
-      return out_rows_ > 0;
-    }
-    JoinBuildTable::Partition& part = table_->partition(drain_partition_);
-    if (!part.spilled) {
-      ++drain_partition_;
-      continue;
-    }
-
-    if (!drain_loaded_) {
-      // Load the build side of this partition and hash it.
-      std::rewind(part.build_file);
-      part.table = std::make_unique<SerializedRowHashTable>(
-          std::max<int64_t>(part.build_rows_on_disk, 1));
-      part.table->SetMemoryTracker(mem_.get());
-      const size_t entry_size =
-          SerializedRowHashTable::kHeaderSize + build_format_.row_size();
-      std::vector<Value> row;
-      for (;;) {
-        VSTORE_ASSIGN_OR_RETURN(
-            bool more,
-            ReadSpillRow(part.build_file, build_->output_schema(), &row));
-        if (!more) break;
-        uint8_t* entry = part.arena->Allocate(entry_size);
-        build_format_.WriteValues(entry + SerializedRowHashTable::kHeaderSize,
-                                  row, part.arena.get());
-        uint64_t hash = build_format_.HashKeys(
-            entry + SerializedRowHashTable::kHeaderSize, options_.build_keys);
-        part.table->Insert(entry, hash);
-      }
-      std::rewind(part.probe_file);
-      drain_probe_row_.resize(probe_format_.row_size());
-      drain_loaded_ = true;
-      drain_row_pending_ = false;
-    }
-
-    for (;;) {
-      if (!drain_row_pending_) {
-        std::vector<Value> row;
-        VSTORE_ASSIGN_OR_RETURN(bool more,
-                                ReadSpillRow(part.probe_file, probe_schema,
-                                             &row));
-        if (!more) {
-          drain_loaded_ = false;
-          ++drain_partition_;
-          break;  // next partition
-        }
-        drain_arena_.Reset();
-        probe_format_.WriteValues(drain_probe_row_.data(), row, &drain_arena_);
-        uint64_t hash =
-            probe_format_.HashKeys(drain_probe_row_.data(), options_.probe_keys);
-        chain_ = part.table->ChainHead(hash);
-        row_matched_ = false;
-        drain_row_pending_ = true;
-      }
-
-      while (chain_ != nullptr) {
-        if (out_rows_ == output_->capacity()) return true;
-        const uint8_t* entry = chain_;
-        const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-        if (CrossFormatKeysEqual(build_format_, payload, options_.build_keys,
-                                 probe_format_, drain_probe_row_.data(),
-                                 options_.probe_keys)) {
-          row_matched_ = true;
-          if (jt == JoinType::kInner || jt == JoinType::kLeftOuter) {
-            emitter_.EmitFromSerialized(output_.get(), drain_probe_row_.data(),
-                                        payload, out_rows_++);
-          } else {
-            chain_ = nullptr;
-            break;
-          }
-        }
-        if (chain_ != nullptr) {
-          chain_ = SerializedRowHashTable::ChainNext(entry);
-        }
-      }
-
-      bool emit_probe_only =
-          (jt == JoinType::kLeftSemi && row_matched_) ||
-          (jt == JoinType::kLeftAnti && !row_matched_);
-      bool emit_null_extended = jt == JoinType::kLeftOuter && !row_matched_;
-      if (emit_probe_only || emit_null_extended) {
-        if (out_rows_ == output_->capacity()) return true;
-        emitter_.EmitFromSerialized(output_.get(), drain_probe_row_.data(),
-                                    nullptr, out_rows_++);
-      }
-      drain_row_pending_ = false;
-    }
-  }
-}
-
-Result<Batch*> HashJoinOperator::NextImpl() {
-  output_->Reset();
-  out_rows_ = 0;
-  bool ready = false;
-  if (phase_ == Phase::kProbe) {
-    VSTORE_ASSIGN_OR_RETURN(ready, PumpProbe());
-  }
-  if (!ready && phase_ == Phase::kSpillDrain) {
-    VSTORE_ASSIGN_OR_RETURN(ready, PumpSpill());
-  }
-  if (out_rows_ == 0) return static_cast<Batch*>(nullptr);
-  output_->set_num_rows(out_rows_);
-  output_->ActivateAll();
-  return output_.get();
+  probe_->Close();  // no-op unless the build succeeded and opened it
 }
 
 }  // namespace vstore

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -32,29 +33,6 @@ inline bool JoinEmitsBuildColumns(JoinType type) {
 // joins) the build columns marked nullable for null-extension.
 Schema HashJoinOutputSchema(const Schema& probe, const Schema& build,
                             JoinType type);
-
-// Row emission shared by the single-threaded hash join and the parallel
-// probe fragments: writes one output row (probe side from a batch or a
-// serialized row, build side from a serialized row or null-extended) into
-// an accumulating output batch. Stateless apart from the formats.
-class JoinRowEmitter {
- public:
-  JoinRowEmitter(const RowFormat* probe_format, const RowFormat* build_format,
-                 bool emit_build_columns)
-      : probe_format_(probe_format),
-        build_format_(build_format),
-        emit_build_columns_(emit_build_columns) {}
-
-  void EmitFromBatch(Batch* output, const Batch& probe, int64_t row,
-                     const uint8_t* build_row, int64_t out_row) const;
-  void EmitFromSerialized(Batch* output, const uint8_t* probe_row,
-                          const uint8_t* build_row, int64_t out_row) const;
-
- private:
-  const RowFormat* probe_format_;
-  const RowFormat* build_format_;
-  bool emit_build_columns_;
-};
 
 struct HashJoinOptions {
   JoinType join_type = JoinType::kInner;
@@ -96,8 +74,7 @@ class JoinBuildTable {
     std::FILE* probe_file = nullptr;
     int64_t build_rows_on_disk = 0;
     int64_t probe_rows_on_disk = 0;
-    // Built by Finalize; read-only from then on, except that the serial
-    // join's spill drain loads spilled partitions in place.
+    // Built by Finalize for resident partitions; read-only from then on.
     std::unique_ptr<SerializedRowHashTable> table;
   };
 
@@ -137,6 +114,7 @@ class JoinBuildTable {
     return static_cast<int>(hash >> partition_shift_);
   }
   Partition& partition(int p) { return partitions_[static_cast<size_t>(p)]; }
+  const Schema& schema() const { return schema_; }
 
   int64_t peak_bytes() const {
     return peak_bytes_.load(std::memory_order_relaxed);
@@ -186,6 +164,89 @@ class JoinBuildTable {
   std::mutex spill_mu_;  // serializes victim selection + flush
 };
 
+// Probe side of a batch hash join: the one probe loop and grace drain
+// behind both the serial HashJoinOperator and the parallel probe fragments
+// (HashJoinProbeOperator). Streams probe batches against a finalized
+// JoinBuildTable; rows whose partition spilled are appended to that
+// partition's probe file instead. Once the probe input is exhausted and the
+// prober owns the drain, it joins the spilled partition pairs one partition
+// at a time: the build rows are reloaded into prober-local storage that is
+// freed before the next partition loads (the table's partitions are never
+// written after Finalize), and the spilled probe rows are read back in
+// batches that run through the same per-row loop as the in-memory probe.
+// A drain therefore holds at most one spilled partition in memory; a
+// spilled partition is assumed to fit there (one level of partitioning).
+class JoinProber {
+ public:
+  // `probe`, the schemas, `build_format` and `options` must outlive the
+  // prober. `owns_drain` is called once, when the probe input is
+  // exhausted, and says whether this prober drains the spilled partitions
+  // (all writers of the partitions' probe files must be done by then).
+  JoinProber(BatchOperator* probe, const Schema& probe_schema,
+             const Schema& output_schema, const RowFormat& build_format,
+             const HashJoinOptions& options, ExecContext* ctx,
+             std::function<bool()> owns_drain);
+  VSTORE_DISALLOW_COPY_AND_ASSIGN(JoinProber);
+
+  // Starts a probe of `table`, which must be finalized and outlive the
+  // probe; resets the counters. The drain's reload storage charges
+  // `drain_mem` (may be null). The caller opens the probe input.
+  void Open(JoinBuildTable* table, MemoryTracker* drain_mem);
+  // Next output batch, or null at the end.
+  Result<Batch*> Next();
+  // Frees the output batch and drain storage; the counters stay readable.
+  void Close();
+
+  // Probe input rows (spilled ones included, drained ones not recounted).
+  int64_t probe_rows() const { return probe_rows_; }
+  int64_t probe_rows_spilled() const { return probe_rows_spilled_; }
+
+ private:
+  // Joins probe_batch_ from probe_row_ on; returns true when the output
+  // filled first (the cursor then resumes mid-row on the next call).
+  Result<bool> JoinRows();
+  // Emits probe row probe_row_ joined to `build_row` (null-extended or
+  // probe-only when null).
+  void Emit(const uint8_t* build_row);
+  // Points probe_batch_ at the next batch of spilled probe rows, loading
+  // spilled partitions as earlier ones run out; false when none is left.
+  Result<bool> NextDrainBatch();
+  Status LoadDrainPartition(JoinBuildTable::Partition* part);
+  void SetProbeBatch(Batch* batch);
+
+  BatchOperator* probe_;
+  const Schema& probe_schema_;
+  const Schema& output_schema_;
+  const RowFormat& build_format_;
+  const HashJoinOptions& options_;
+  ExecContext* ctx_;
+  std::function<bool()> owns_drain_;
+
+  JoinBuildTable* table_ = nullptr;
+  MemoryTracker* drain_mem_ = nullptr;
+  std::unique_ptr<Batch> output_;
+  int64_t out_rows_ = 0;
+
+  enum class Phase { kProbe, kDrain, kDone };
+  Phase phase_ = Phase::kProbe;
+  Batch* probe_batch_ = nullptr;
+  int64_t probe_row_ = 0;
+  std::vector<uint64_t> hashes_;
+  const uint8_t* chain_ = nullptr;  // resume point within a bucket chain
+  bool row_matched_ = false;        // for outer/semi/anti bookkeeping
+
+  // Drain state: the next partition to drain (its build rows reloaded when
+  // drain_loaded_), and a batch of its spilled probe rows.
+  int drain_partition_ = 0;
+  bool drain_loaded_ = false;
+  std::unique_ptr<Arena> drain_arena_;
+  std::unique_ptr<SerializedRowHashTable> drain_table_;
+  std::unique_ptr<Batch> drain_batch_;
+
+  int64_t probe_rows_ = 0;
+  int64_t probe_rows_spilled_ = 0;
+};
+
 // Batch-mode hash join (paper §5.3): consumes the build side into a hash
 // table of serialized rows, optionally publishing a Bloom filter for
 // pushdown into the probe-side scan, then streams probe batches against it.
@@ -193,10 +254,9 @@ class JoinBuildTable {
 // Memory-bounded: build rows go into a JoinBuildTable (this join is its
 // single-inserter case); when the in-memory size exceeds the context's
 // operator_memory_budget, whole partitions spill to temp files and the
-// matching probe rows are spilled too, then partition pairs are drained
-// after the probe input is exhausted (grace hash join).
-// One level of partitioning is applied; a spilled partition is assumed to
-// fit in memory during its drain.
+// matching probe rows are spilled too. The JoinProber then drains the
+// partition pairs one at a time after the probe input is exhausted (grace
+// hash join), so the drain holds one spilled partition in memory at once.
 //
 // Output schema: probe columns followed by build columns (probe columns
 // only for semi/anti joins).
@@ -216,7 +276,7 @@ class HashJoinOperator final : public BatchOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<Batch*> NextImpl() override;
+  Result<Batch*> NextImpl() override { return prober_.Next(); }
   void CloseImpl() override;
   std::vector<const BatchOperator*> ProfileInputs() const override {
     return {probe_.get(), build_.get()};
@@ -226,11 +286,6 @@ class HashJoinOperator final : public BatchOperator {
  private:
   Status RunBuildPhase();
 
-  // Probe-streaming phase; returns true when a full/final batch is ready.
-  Result<bool> PumpProbe();
-  // Spill-drain phase; returns true when a batch is ready, false at EOS.
-  Result<bool> PumpSpill();
-
   BatchOperatorPtr probe_;
   BatchOperatorPtr build_;
   Options options_;
@@ -238,44 +293,21 @@ class HashJoinOperator final : public BatchOperator {
 
   Schema output_schema_;
   RowFormat build_format_;
-  RowFormat probe_format_;
-  bool emit_build_columns_;
-  JoinRowEmitter emitter_;
 
   BloomFilter* bloom_ = nullptr;  // not owned
 
   // Per-operator tracker under the query tracker (null when tracking is
-  // off); partition arenas and tables charge here. Declared before table_
-  // so the partitions release into a live tracker.
+  // off); partition arenas, tables and the drain's reload charge here.
+  // Declared before table_ so the partitions release into a live tracker.
   std::unique_ptr<MemoryTracker> mem_;
   std::unique_ptr<JoinBuildTable> table_;  // one per Open()
-
-  std::unique_ptr<Batch> output_;
-  int64_t out_rows_ = 0;
-
-  // Probe-streaming state.
-  enum class Phase { kBuild, kProbe, kSpillDrain, kDone };
-  Phase phase_ = Phase::kBuild;
-  Batch* probe_batch_ = nullptr;
-  int64_t probe_row_ = 0;
-  std::vector<uint64_t> probe_hashes_;
-  const uint8_t* chain_ = nullptr;  // resume point within a bucket chain
-  bool row_matched_ = false;        // for outer/semi/anti bookkeeping
-
-  // Spill-drain state.
-  int drain_partition_ = 0;
-  bool drain_loaded_ = false;
-  std::vector<uint8_t> drain_probe_row_;  // serialized current probe row
-  bool drain_row_pending_ = false;
-  Arena drain_arena_;
+  JoinProber prober_;
 
   // Per-operator profile counters mirroring the query-global ExecStats.
   int64_t build_rows_ = 0;
   int64_t build_ns_ = 0;        // build input drained into partitions
   int64_t table_build_ns_ = 0;  // chained tables + Bloom filter
-  int64_t probe_rows_ = 0;
   int64_t build_rows_spilled_ = 0;
-  int64_t probe_rows_spilled_ = 0;
   int64_t spill_partitions_ = 0;
 };
 

@@ -118,27 +118,6 @@ void RowFormat::WriteKeysFromBatch(uint8_t* dst, const Batch& batch,
   }
 }
 
-bool CrossFormatKeysEqual(const RowFormat& af, const uint8_t* a,
-                          const std::vector<int>& a_keys, const RowFormat& bf,
-                          const uint8_t* b, const std::vector<int>& b_keys) {
-  for (size_t i = 0; i < a_keys.size(); ++i) {
-    int ka = a_keys[i], kb = b_keys[i];
-    if (af.IsNull(a, ka) || bf.IsNull(b, kb)) return false;
-    switch (PhysicalTypeOf(af.column_type(ka))) {
-      case PhysicalType::kInt64:
-        if (af.GetInt64(a, ka) != bf.GetInt64(b, kb)) return false;
-        break;
-      case PhysicalType::kDouble:
-        if (af.GetDouble(a, ka) != bf.GetDouble(b, kb)) return false;
-        break;
-      case PhysicalType::kString:
-        if (af.GetString(a, ka) != bf.GetString(b, kb)) return false;
-        break;
-    }
-  }
-  return true;
-}
-
 int64_t RowFormat::GetInt64(const uint8_t* row, int c) const {
   int64_t x;
   std::memcpy(&x, row + slot_offset(c), 8);
@@ -282,27 +261,6 @@ void HashKeysBatch(const Batch& batch, const std::vector<int>& keys,
   }
 }
 
-bool RowFormat::KeysEqual(const uint8_t* a, const std::vector<int>& a_keys,
-                          const uint8_t* b,
-                          const std::vector<int>& b_keys) const {
-  for (size_t i = 0; i < a_keys.size(); ++i) {
-    int ka = a_keys[i], kb = b_keys[i];
-    if (IsNull(a, ka) || IsNull(b, kb)) return false;
-    switch (PhysicalTypeOf(types_[static_cast<size_t>(ka)])) {
-      case PhysicalType::kInt64:
-        if (GetInt64(a, ka) != GetInt64(b, kb)) return false;
-        break;
-      case PhysicalType::kDouble:
-        if (GetDouble(a, ka) != GetDouble(b, kb)) return false;
-        break;
-      case PhysicalType::kString:
-        if (GetString(a, ka) != GetString(b, kb)) return false;
-        break;
-    }
-  }
-  return true;
-}
-
 bool RowFormat::KeysEqualBatch(const uint8_t* row,
                                const std::vector<int>& row_keys,
                                const Batch& batch, int64_t i,
@@ -316,7 +274,11 @@ bool RowFormat::KeysEqualBatch(const uint8_t* row,
         if (GetInt64(row, rk) != cv.ints()[i]) return false;
         break;
       case PhysicalType::kDouble:
-        if (GetDouble(row, rk) != cv.doubles()[i]) return false;
+        // By bit pattern, as keys are hashed: NaN joins a NaN of the same
+        // bits, -0.0 does not join +0.0.
+        if (GetInt64(row, rk) != std::bit_cast<int64_t>(cv.doubles()[i])) {
+          return false;
+        }
         break;
       case PhysicalType::kString:
         if (GetString(row, rk) != cv.strings()[i]) return false;

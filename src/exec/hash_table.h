@@ -77,11 +77,8 @@ class RowFormat {
   uint64_t HashKeysFromBatch(const Batch& batch, int64_t i,
                              const std::vector<int>& keys) const;
 
-  // True if the key columns of `a` equal those of `b` (null keys never
-  // compare equal).
-  bool KeysEqual(const uint8_t* a, const std::vector<int>& a_keys,
-                 const uint8_t* b, const std::vector<int>& b_keys) const;
-  // Compares a serialized row's keys against a batch row's keys.
+  // Compares a serialized row's join keys against a batch row's (null
+  // keys never compare equal; doubles compare by bit pattern).
   bool KeysEqualBatch(const uint8_t* row, const std::vector<int>& row_keys,
                       const Batch& batch, int64_t i,
                       const std::vector<int>& batch_keys) const;
@@ -103,12 +100,6 @@ class RowFormat {
 // rows and is unspecified elsewhere. `active` may be null (= all rows).
 void HashKeysBatch(const Batch& batch, const std::vector<int>& keys,
                    const uint8_t* active, uint64_t* out);
-
-// Key equality between rows serialized under two different formats (spill
-// drains compare a serialized probe row against serialized build rows).
-bool CrossFormatKeysEqual(const RowFormat& af, const uint8_t* a,
-                          const std::vector<int>& a_keys, const RowFormat& bf,
-                          const uint8_t* b, const std::vector<int>& b_keys);
 
 // Chained hash table over serialized rows. Each entry is a row prefixed by
 // a 16-byte header: [next pointer : 8][hash : 8]. Rows live in an Arena

@@ -47,7 +47,6 @@ struct ExecStats {
   }
 };
 
-class ThreadPool;
 class QuerySpanRecorder;
 class MemoryTracker;
 struct ActiveQuery;
@@ -63,7 +62,6 @@ struct ExecContext {
   // Compile Filter/Project expressions to bytecode at build time; off
   // forces the tree-interpreter path (the differential oracle).
   bool compile_expressions = true;
-  ThreadPool* thread_pool = nullptr;  // used by exchange operators
   // Query tracing hooks, null when the query runs untraced. Operators
   // reach the span tree through the thread-local QueryTraceContext; these
   // pointers exist so the exchange can re-install that context on its

@@ -6,7 +6,6 @@
 
 #include "common/macros.h"
 #include "common/span_trace.h"
-#include "exec/spill.h"
 
 namespace vstore {
 
@@ -231,9 +230,9 @@ HashJoinProbeOperator::HashJoinProbeOperator(
       output_schema_(HashJoinOutputSchema(probe_->output_schema(),
                                           shared_->build_schema(),
                                           shared_->options().join_type)),
-      probe_format_(probe_->output_schema()),
-      emitter_(&probe_format_, &shared_->build_format(),
-               JoinEmitsBuildColumns(shared_->options().join_type)) {}
+      prober_(probe_.get(), shared_->probe_schema(), output_schema_,
+              shared_->build_format(), shared_->options(), ctx,
+              [this] { return shared_->FinishProbeFragment(); }) {}
 
 HashJoinProbeOperator::~HashJoinProbeOperator() { Close(); }
 
@@ -244,9 +243,10 @@ std::string HashJoinProbeOperator::name() const {
 
 void HashJoinProbeOperator::AppendProfileCounters(
     OperatorProfile* node) const {
-  node->counters.push_back({"probe_rows", probe_rows_});
-  if (probe_rows_spilled_ > 0) {
-    node->counters.push_back({"probe_rows_spilled", probe_rows_spilled_});
+  node->counters.push_back({"probe_rows", prober_.probe_rows()});
+  if (prober_.probe_rows_spilled() > 0) {
+    node->counters.push_back(
+        {"probe_rows_spilled", prober_.probe_rows_spilled()});
   }
 }
 
@@ -259,32 +259,16 @@ void HashJoinProbeOperator::AppendProfileChildren(
 }
 
 Status HashJoinProbeOperator::OpenImpl() {
-  probe_rows_ = 0;
-  probe_rows_spilled_ = 0;
-  out_rows_ = 0;
-  phase_ = Phase::kInit;
-  finish_reported_ = false;
   VSTORE_RETURN_IF_ERROR(shared_->EnsureBuilt(ctx_));
   // The build is the memory-heavy half; attribute its high-water mark to
   // one fragment so the exchange's max-merge reports it once.
   if (fragment_ == 0) RecordPeakMemory(shared_->peak_bytes());
-  // Spill-drain arenas charge the shared build tracker: the drain reloads
-  // spilled build partitions, which is build-side memory.
-  drain_build_arena_.SetMemoryTracker(shared_->memory_tracker());
-  drain_arena_.SetMemoryTracker(shared_->memory_tracker());
+  // The drain's reload storage charges the shared build tracker: the drain
+  // reloads spilled build partitions, which is build-side memory.
+  prober_.Open(&shared_->table(), shared_->memory_tracker());
   // Open the probe chain only now: a pushed Bloom filter is populated by
   // the build above and the probe-side scan reads it during Open().
-  VSTORE_RETURN_IF_ERROR(probe_->Open());
-  output_ = std::make_unique<Batch>(output_schema_, ctx_->batch_size);
-  phase_ = Phase::kProbe;
-  probe_batch_ = nullptr;
-  probe_row_ = 0;
-  chain_ = nullptr;
-  row_matched_ = false;
-  drain_partition_ = 0;
-  drain_loaded_ = false;
-  drain_row_pending_ = false;
-  return Status::OK();
+  return probe_->Open();
 }
 
 void HashJoinProbeOperator::CloseImpl() {
@@ -294,219 +278,8 @@ void HashJoinProbeOperator::CloseImpl() {
     RecordMemoryTracker(shared_->memory_tracker());
     RecordSpillBytes(shared_->spill_bytes());
   }
-  output_.reset();
-  drain_table_.reset();
-  if (phase_ != Phase::kInit) probe_->Close();
-  probe_batch_ = nullptr;
-}
-
-Result<Batch*> HashJoinProbeOperator::NextImpl() {
-  output_->Reset();
-  out_rows_ = 0;
-  bool ready = false;
-  if (phase_ == Phase::kProbe) {
-    VSTORE_ASSIGN_OR_RETURN(ready, PumpProbe());
-  }
-  if (!ready && phase_ == Phase::kSpillDrain) {
-    VSTORE_ASSIGN_OR_RETURN(ready, PumpSpill());
-  }
-  if (out_rows_ == 0) return static_cast<Batch*>(nullptr);
-  output_->set_num_rows(out_rows_);
-  output_->ActivateAll();
-  return output_.get();
-}
-
-Result<bool> HashJoinProbeOperator::PumpProbe() {
-  const JoinType jt = shared_->options().join_type;
-  const RowFormat& build_format = shared_->build_format();
-  const std::vector<int>& build_keys = shared_->options().build_keys;
-  const std::vector<int>& probe_keys = shared_->options().probe_keys;
-  JoinBuildTable& table = shared_->table();
-  for (;;) {
-    if (probe_batch_ == nullptr) {
-      VSTORE_ASSIGN_OR_RETURN(Batch * batch, probe_->Next());
-      if (batch == nullptr) {
-        if (!finish_reported_) {
-          finish_reported_ = true;
-          // The last fragment to exhaust its probe input owns the drain of
-          // the spilled partition pairs — by then no fragment can append
-          // another probe row to the shared spill files.
-          bool last = shared_->FinishProbeFragment();
-          phase_ = last && shared_->has_spilled_partitions()
-                       ? Phase::kSpillDrain
-                       : Phase::kDone;
-        }
-        return out_rows_ > 0;
-      }
-      probe_batch_ = batch;
-      probe_row_ = 0;
-      chain_ = nullptr;
-      row_matched_ = false;
-      const int64_t n = batch->num_rows();
-      probe_hashes_.resize(static_cast<size_t>(n));
-      HashKeysBatch(*batch, probe_keys, batch->active(),
-                    probe_hashes_.data());
-    }
-
-    const uint8_t* active = probe_batch_->active();
-    while (probe_row_ < probe_batch_->num_rows()) {
-      if (!active[probe_row_]) {
-        ++probe_row_;
-        continue;
-      }
-      uint64_t hash = probe_hashes_[static_cast<size_t>(probe_row_)];
-      const int p = table.PartitionOf(hash);
-      JoinBuildTable::Partition& part = table.partition(p);
-
-      if (part.spilled) {
-        VSTORE_RETURN_IF_ERROR(table.SpillProbeRow(
-            p, shared_->probe_schema(), probe_batch_->GetActiveRow(probe_row_),
-            ctx_));
-        ++probe_rows_spilled_;
-        ++probe_rows_;
-        ++probe_row_;
-        continue;
-      }
-
-      if (chain_ == nullptr && !row_matched_) {
-        chain_ = part.table->ChainHead(hash);
-      }
-      while (chain_ != nullptr) {
-        if (out_rows_ == output_->capacity()) return true;
-        const uint8_t* entry = chain_;
-        const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-        if (SerializedRowHashTable::EntryHash(entry) == hash &&
-            build_format.KeysEqualBatch(payload, build_keys, *probe_batch_,
-                                        probe_row_, probe_keys)) {
-          row_matched_ = true;
-          if (jt == JoinType::kInner || jt == JoinType::kLeftOuter) {
-            emitter_.EmitFromBatch(output_.get(), *probe_batch_, probe_row_,
-                                   payload, out_rows_++);
-          } else {
-            chain_ = nullptr;  // semi/anti need only existence
-            break;
-          }
-        }
-        if (chain_ != nullptr) {
-          chain_ = SerializedRowHashTable::ChainNext(entry);
-        }
-      }
-
-      bool emit_probe_only = (jt == JoinType::kLeftSemi && row_matched_) ||
-                             (jt == JoinType::kLeftAnti && !row_matched_);
-      bool emit_null_extended = jt == JoinType::kLeftOuter && !row_matched_;
-      if (emit_probe_only || emit_null_extended) {
-        if (out_rows_ == output_->capacity()) return true;
-        emitter_.EmitFromBatch(output_.get(), *probe_batch_, probe_row_,
-                               nullptr, out_rows_++);
-      }
-      ++probe_rows_;
-      ++probe_row_;
-      chain_ = nullptr;
-      row_matched_ = false;
-    }
-    probe_batch_ = nullptr;
-  }
-}
-
-Result<bool> HashJoinProbeOperator::PumpSpill() {
-  const JoinType jt = shared_->options().join_type;
-  const RowFormat& build_format = shared_->build_format();
-  const std::vector<int>& build_keys = shared_->options().build_keys;
-  const std::vector<int>& probe_keys = shared_->options().probe_keys;
-  for (;;) {
-    if (drain_partition_ >= shared_->num_partitions()) {
-      phase_ = Phase::kDone;
-      return out_rows_ > 0;
-    }
-    JoinBuildTable::Partition& part =
-        shared_->table().partition(drain_partition_);
-    if (!part.spilled) {
-      ++drain_partition_;
-      continue;
-    }
-
-    if (!drain_loaded_) {
-      // Rebuild this partition's build side into operator-local storage;
-      // the shared partitions stay strictly read-only after the build.
-      std::rewind(part.build_file);
-      drain_build_arena_.Reset();
-      drain_table_ = std::make_unique<SerializedRowHashTable>(
-          std::max<int64_t>(part.build_rows_on_disk, 1));
-      drain_table_->SetMemoryTracker(shared_->memory_tracker());
-      const size_t entry_size =
-          SerializedRowHashTable::kHeaderSize + build_format.row_size();
-      std::vector<Value> row;
-      for (;;) {
-        VSTORE_ASSIGN_OR_RETURN(
-            bool more,
-            ReadSpillRow(part.build_file, shared_->build_schema(), &row));
-        if (!more) break;
-        uint8_t* entry = drain_build_arena_.Allocate(entry_size);
-        build_format.WriteValues(entry + SerializedRowHashTable::kHeaderSize,
-                                 row, &drain_build_arena_);
-        uint64_t hash = build_format.HashKeys(
-            entry + SerializedRowHashTable::kHeaderSize, build_keys);
-        drain_table_->Insert(entry, hash);
-      }
-      std::rewind(part.probe_file);
-      drain_probe_row_.resize(probe_format_.row_size());
-      drain_loaded_ = true;
-      drain_row_pending_ = false;
-    }
-
-    for (;;) {
-      if (!drain_row_pending_) {
-        std::vector<Value> row;
-        VSTORE_ASSIGN_OR_RETURN(
-            bool more,
-            ReadSpillRow(part.probe_file, shared_->probe_schema(), &row));
-        if (!more) {
-          drain_loaded_ = false;
-          ++drain_partition_;
-          break;  // next partition
-        }
-        drain_arena_.Reset();
-        probe_format_.WriteValues(drain_probe_row_.data(), row, &drain_arena_);
-        uint64_t hash =
-            probe_format_.HashKeys(drain_probe_row_.data(), probe_keys);
-        chain_ = drain_table_->ChainHead(hash);
-        row_matched_ = false;
-        drain_row_pending_ = true;
-      }
-
-      while (chain_ != nullptr) {
-        if (out_rows_ == output_->capacity()) return true;
-        const uint8_t* entry = chain_;
-        const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-        if (CrossFormatKeysEqual(build_format, payload, build_keys,
-                                 probe_format_, drain_probe_row_.data(),
-                                 probe_keys)) {
-          row_matched_ = true;
-          if (jt == JoinType::kInner || jt == JoinType::kLeftOuter) {
-            emitter_.EmitFromSerialized(output_.get(), drain_probe_row_.data(),
-                                        payload, out_rows_++);
-          } else {
-            chain_ = nullptr;
-            break;
-          }
-        }
-        if (chain_ != nullptr) {
-          chain_ = SerializedRowHashTable::ChainNext(entry);
-        }
-      }
-
-      bool emit_probe_only = (jt == JoinType::kLeftSemi && row_matched_) ||
-                             (jt == JoinType::kLeftAnti && !row_matched_);
-      bool emit_null_extended = jt == JoinType::kLeftOuter && !row_matched_;
-      if (emit_probe_only || emit_null_extended) {
-        if (out_rows_ == output_->capacity()) return true;
-        emitter_.EmitFromSerialized(output_.get(), drain_probe_row_.data(),
-                                    nullptr, out_rows_++);
-      }
-      drain_row_pending_ = false;
-    }
-  }
+  prober_.Close();
+  probe_->Close();  // no-op unless the build succeeded and opened it
 }
 
 }  // namespace vstore

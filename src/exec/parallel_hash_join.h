@@ -33,8 +33,8 @@ namespace vstore {
 // exceeds `memory_budget` (or the query's budget). Probe fragments append
 // probe rows of spilled partitions to a shared per-partition file under
 // the partition lock; the last fragment to finish probing
-// (FinishProbeFragment) drains the spilled partition pairs through the
-// single-threaded grace-join path.
+// (FinishProbeFragment) drains the spilled partition pairs through its
+// JoinProber, one partition at a time, as the serial join does.
 //
 // A SharedHashJoinBuild supports one execution; the executor lowers a
 // fresh physical plan per query, so operators over it are never reopened.
@@ -67,14 +67,10 @@ class SharedHashJoinBuild {
   const RowFormat& build_format() const { return build_format_; }
   const BloomFilter* bloom_target() const { return options_.bloom_target; }
 
-  int num_partitions() const { return options_.num_partitions; }
   // Valid after EnsureBuilt(); partitions are read-only by then (the
   // drain additionally reads the spill files, single-threaded), apart from
   // SpillProbeRow's thread-safe appends to spilled partitions.
   JoinBuildTable& table() { return *table_; }
-  bool has_spilled_partitions() const {
-    return table_->spill_partitions() > 0;
-  }
 
   // Each probe fragment calls this exactly once when its probe input is
   // exhausted; returns true for the last fragment, which then owns the
@@ -142,9 +138,9 @@ class SharedHashJoinBuild {
 // Probe-side operator of a parallel hash join: one per exchange fragment,
 // all sharing one SharedHashJoinBuild. Open() triggers (or waits for) the
 // shared build, then streams the fragment's probe chain against the shared
-// read-only tables — the same grace-hash logic as HashJoinOperator, with
-// spilled probe rows routed to the shared partition files and the spill
-// drain executed by whichever fragment finishes probing last.
+// read-only tables through a JoinProber — the serial HashJoinOperator's
+// probe and drain path. Spilled probe rows go to the shared partition
+// files, and whichever fragment finishes probing last runs the drain.
 class HashJoinProbeOperator final : public BatchOperator {
  public:
   HashJoinProbeOperator(BatchOperatorPtr probe,
@@ -157,7 +153,7 @@ class HashJoinProbeOperator final : public BatchOperator {
 
  protected:
   Status OpenImpl() override;
-  Result<Batch*> NextImpl() override;
+  Result<Batch*> NextImpl() override { return prober_.Next(); }
   void CloseImpl() override;
   std::vector<const BatchOperator*> ProfileInputs() const override {
     return {probe_.get()};
@@ -166,42 +162,13 @@ class HashJoinProbeOperator final : public BatchOperator {
   void AppendProfileChildren(OperatorProfile* node) const override;
 
  private:
-  Result<bool> PumpProbe();
-  Result<bool> PumpSpill();
-
   BatchOperatorPtr probe_;
   std::shared_ptr<SharedHashJoinBuild> shared_;
   int fragment_;
   ExecContext* ctx_;
 
   Schema output_schema_;
-  RowFormat probe_format_;
-  JoinRowEmitter emitter_;
-
-  std::unique_ptr<Batch> output_;
-  int64_t out_rows_ = 0;
-
-  enum class Phase { kInit, kProbe, kSpillDrain, kDone };
-  Phase phase_ = Phase::kInit;
-  Batch* probe_batch_ = nullptr;
-  int64_t probe_row_ = 0;
-  std::vector<uint64_t> probe_hashes_;
-  const uint8_t* chain_ = nullptr;
-  bool row_matched_ = false;
-  bool finish_reported_ = false;
-
-  // Spill-drain state (only used by the draining fragment); the drained
-  // build rows live in local storage so shared partitions stay read-only.
-  int drain_partition_ = 0;
-  bool drain_loaded_ = false;
-  std::unique_ptr<SerializedRowHashTable> drain_table_;
-  Arena drain_build_arena_;
-  std::vector<uint8_t> drain_probe_row_;
-  bool drain_row_pending_ = false;
-  Arena drain_arena_;
-
-  int64_t probe_rows_ = 0;
-  int64_t probe_rows_spilled_ = 0;
+  JoinProber prober_;
 };
 
 }  // namespace vstore

@@ -148,10 +148,13 @@ std::string RowHashJoinOperator::KeyOf(const std::vector<Value>& row,
         key.append(reinterpret_cast<const char*>(&x), sizeof(x));
         break;
       }
-      case PhysicalType::kString:
+      case PhysicalType::kString: {
+        // Length-prefixed, so composite keys cannot run into each other.
+        const uint64_t len = v.str().size();
+        key.append(reinterpret_cast<const char*>(&len), sizeof(len));
         key += v.str();
-        key.push_back('\0');
         break;
+      }
     }
   }
   return key;

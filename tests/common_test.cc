@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "common/arena.h"
@@ -9,7 +8,6 @@
 #include "common/random.h"
 #include "common/json_util.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 namespace vstore {
 namespace {
@@ -237,30 +235,6 @@ TEST(ZipfTest, ValuesInRange) {
     EXPECT_GE(v, 0);
     EXPECT_LT(v, 5);
   }
-}
-
-// --- ThreadPool ------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](int64_t i) { hits[static_cast<size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, WaitIdleWithNoTasks) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // must not hang
 }
 
 // --- JSON validator --------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "exec/hash_join.h"
+#include "query/executor.h"
 #include "test_operators.h"
 
 namespace vstore {
@@ -382,6 +383,79 @@ TEST(HashJoinTest, OutputSpansManyBatches) {
   ctx.batch_size = 64;  // 2500 outputs / 64 per batch
   auto rows = RunJoin(probe, build, InnerOn0(), &ctx);
   EXPECT_EQ(rows.size(), 2500u);
+}
+
+const OperatorProfile* FindNode(const OperatorProfile& node,
+                                const std::string& prefix) {
+  if (node.name.rfind(prefix, 0) == 0) return &node;
+  for (const OperatorProfile& child : node.children) {
+    const OperatorProfile* found = FindNode(child, prefix);
+    if (found != nullptr) return found;
+  }
+  return nullptr;
+}
+
+// Budgeted serial join through the executor: the grace drain reloads one
+// spilled partition at a time into storage it frees before the next, so
+// the join's peak stays far below the unbudgeted build's, with the rows of
+// the unbudgeted and row-engine runs.
+TEST(HashJoinTest, SerialDrainHoldsOnePartitionAtATime) {
+  const int64_t kRows = 100000;
+  Random rng(66);
+  TableData probe(Schema({{"k", DataType::kInt64, false},
+                          {"v", DataType::kInt64, false}}));
+  TableData build(Schema({{"bk", DataType::kInt64, false},
+                          {"bv", DataType::kInt64, false}}));
+  for (int64_t i = 0; i < kRows; ++i) {
+    probe.AppendRow({Value::Int64(rng.Uniform(0, kRows - 1)),
+                     Value::Int64(i)});
+    build.AppendRow({Value::Int64(i), Value::Int64(rng.Uniform(0, 99))});
+  }
+  Catalog catalog;
+  for (auto [name, data] : {std::pair{"p", &probe}, std::pair{"b", &build}}) {
+    auto cs = std::make_unique<ColumnStoreTable>(name, data->schema(),
+                                                 ColumnStoreTable::Options{});
+    cs->BulkLoad(*data).CheckOK();
+    catalog.AddColumnStore(std::move(cs)).CheckOK();
+  }
+  PlanBuilder b = PlanBuilder::Scan(catalog, "p");
+  b.Join(JoinType::kInner, PlanBuilder::Scan(catalog, "b").Build(), {"k"},
+         {"bk"});
+  PlanPtr plan = b.Build();
+
+  auto run = [&](int64_t budget, ExecutionMode mode) {
+    QueryOptions options;
+    options.mode = mode;
+    options.operator_memory_budget = budget;
+    options.optimizer.bloom_filters = false;  // every probe row reaches it
+    QueryExecutor exec(&catalog, options);
+    return exec.Execute(plan).ValueOrDie();
+  };
+  auto sorted_rows = [](const QueryResult& result) {
+    std::vector<std::vector<Value>> rows;
+    for (int64_t i = 0; i < result.data.num_rows(); ++i) {
+      rows.push_back(result.data.GetRow(i));
+    }
+    SortRows(&rows);
+    return rows;
+  };
+
+  QueryResult unbudgeted = run(0, ExecutionMode::kBatch);
+  QueryResult budgeted = run(64 * 1024, ExecutionMode::kBatch);
+  QueryResult row_mode = run(0, ExecutionMode::kRow);
+  ASSERT_EQ(unbudgeted.rows_returned, kRows);
+  const std::vector<std::vector<Value>> expected = sorted_rows(unbudgeted);
+  EXPECT_EQ(sorted_rows(budgeted), expected);
+  EXPECT_EQ(sorted_rows(row_mode), expected);
+
+  const OperatorProfile* full = FindNode(unbudgeted.profile, "HashJoin(");
+  const OperatorProfile* spilled = FindNode(budgeted.profile, "HashJoin(");
+  ASSERT_NE(full, nullptr);
+  ASSERT_NE(spilled, nullptr);
+  EXPECT_GE(spilled->Counter("spill_partitions"), 8);
+  EXPECT_GT(full->peak_memory_bytes, 0);
+  EXPECT_LT(spilled->peak_memory_bytes, full->peak_memory_bytes / 4)
+      << "unbudgeted peak " << full->peak_memory_bytes;
 }
 
 }  // namespace

@@ -252,6 +252,25 @@ TEST(MemoryTrackerTest, StorageSubtreeReconcilesThroughReorg) {
 
 // --- Query-side wiring -----------------------------------------------------
 
+const OperatorProfile* FindNode(const OperatorProfile& node,
+                                const std::string& prefix) {
+  if (node.name.rfind(prefix, 0) == 0) return &node;
+  for (const OperatorProfile& child : node.children) {
+    const OperatorProfile* found = FindNode(child, prefix);
+    if (found != nullptr) return found;
+  }
+  return nullptr;
+}
+
+std::vector<std::vector<Value>> SortedRows(const QueryResult& result) {
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < result.data.num_rows(); ++i) {
+    rows.push_back(result.data.GetRow(i));
+  }
+  testing_util::SortRows(&rows);
+  return rows;
+}
+
 struct QueryFixture {
   Catalog catalog;
 
@@ -310,9 +329,20 @@ TEST(MemoryTrackerTest, BudgetedQuerySpillsAndStaysCorrect) {
   QueryResult budgeted = f.Run(make_plan(), tight);
 
   EXPECT_EQ(budgeted.rows_returned, unbudgeted.rows_returned);
+  EXPECT_EQ(SortedRows(budgeted), SortedRows(unbudgeted));
   EXPECT_GT(exceeded->Value(), exceeded_before);
   EXPECT_GT(GlobalSpillBytes(), spill_before);
   EXPECT_GT(budgeted.spill_bytes, 0);
+
+  // The query stays over its budget while the join holds memory, so the
+  // aggregate sees pressure on every poll; it polls once per input batch,
+  // not once per row.
+  const OperatorProfile* agg = FindNode(budgeted.profile, "HashAggregate");
+  ASSERT_NE(agg, nullptr);
+  ASSERT_EQ(agg->children.size(), 1u);
+  const int64_t input_batches = agg->children[0].batches_produced;
+  EXPECT_GT(agg->Counter("spill_flushes"), 0);
+  EXPECT_LE(agg->Counter("spill_flushes"), input_batches);
 }
 
 TEST(MemoryTrackerTest, TrackingDisabledRunsUntracked) {

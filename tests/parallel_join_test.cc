@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -221,14 +223,19 @@ TEST(ParallelJoinTest, ExplainAnalyzeShowsPerFragmentBuildCounters) {
 // --- NULL keys, two-column keys, sparse build batches ----------------------
 
 // Nullable join keys with duplicates: about one k in nine and one tag in
-// eleven is NULL; `val` (never NULL) drives a filter below the build.
-// Column names are `prefix` + k/tag/val, so the two sides of a join need no
-// renaming Project (which would compact the build's batches).
+// eleven is NULL; `val` (never NULL) drives a filter below the build; `x`
+// cycles through NaN, -0.0, +0.0, 2.5 and NULL (every row group holds a
+// NaN, so the column is stored as raw bits and -0.0 survives).
+// Column names are `prefix` + k/tag/val/x, so the two sides of a join need
+// no renaming Project (which would compact the build's batches).
 TableData NullableKeyTable(const std::string& prefix, int64_t rows,
                            int64_t key_range, uint64_t seed) {
   Schema schema({{prefix + "k", DataType::kInt64, true},
                  {prefix + "tag", DataType::kString, true},
-                 {prefix + "val", DataType::kInt64, false}});
+                 {prefix + "val", DataType::kInt64, false},
+                 {prefix + "x", DataType::kDouble, true}});
+  const double xs[] = {std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0,
+                       2.5};
   TableData data(schema);
   Random rng(seed);
   const char* tags[] = {"red", "green", "blue"};
@@ -244,6 +251,11 @@ TableData NullableKeyTable(const std::string& prefix, int64_t rows,
       data.column(1).AppendString(tags[rng.Uniform(0, 2)]);
     }
     data.column(2).AppendInt64(rng.Uniform(0, 99));
+    if (i % 5 == 4) {
+      data.column(3).AppendNull();
+    } else {
+      data.column(3).AppendDouble(xs[i % 5]);
+    }
   }
   return data;
 }
@@ -268,7 +280,7 @@ struct NullKeyFixture {
   }
 };
 
-enum class KeyShape { kInt, kIntString, kIntStringFiltered };
+enum class KeyShape { kInt, kIntString, kIntStringFiltered, kIntDouble };
 
 const char* KeyShapeName(KeyShape shape) {
   switch (shape) {
@@ -278,6 +290,8 @@ const char* KeyShapeName(KeyShape shape) {
       return "int64+string";
     case KeyShape::kIntStringFiltered:
       return "int64+string over filtered build";
+    case KeyShape::kIntDouble:
+      return "int64+double";
   }
   return "?";
 }
@@ -295,6 +309,10 @@ PlanPtr NullKeyJoinPlan(const Catalog& catalog, JoinType type,
   PlanBuilder b = PlanBuilder::Scan(catalog, "nfact");
   if (shape == KeyShape::kInt) {
     b.Join(type, dim.Build(), {"k"}, {"dk"});
+  } else if (shape == KeyShape::kIntDouble) {
+    // Double keys join by bit pattern in every engine: NaN joins NaN,
+    // -0.0 does not join +0.0.
+    b.Join(type, dim.Build(), {"k", "x"}, {"dk", "dx"});
   } else {
     b.Join(type, dim.Build(), {"k", "tag"}, {"dk", "dtag"});
   }
@@ -305,7 +323,7 @@ TEST(ParallelJoinTest, NullAndCompositeKeysMatchSerialAndRowMode) {
   NullKeyFixture f;
   const int64_t kBudget = 16 * 1024;
   for (KeyShape shape : {KeyShape::kInt, KeyShape::kIntString,
-                         KeyShape::kIntStringFiltered}) {
+                         KeyShape::kIntStringFiltered, KeyShape::kIntDouble}) {
     for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
                           JoinType::kLeftSemi, JoinType::kLeftAnti}) {
       PlanPtr plan = NullKeyJoinPlan(f.catalog, type, shape);
@@ -314,6 +332,13 @@ TEST(ParallelJoinTest, NullAndCompositeKeysMatchSerialAndRowMode) {
       std::vector<std::string> serial =
           SortedRowStrings(RunQuery(f.catalog, plan, 1));
       ASSERT_FALSE(serial.empty()) << label;
+      if (shape == KeyShape::kIntDouble && type == JoinType::kInner) {
+        EXPECT_TRUE(std::any_of(serial.begin(), serial.end(),
+                                [](const std::string& row) {
+                                  return row.find("|nan|") != std::string::npos;
+                                }))
+            << "NaN keys must join";
+      }
       EXPECT_EQ(SortedRowStrings(RunQuery(f.catalog, plan, 1, 0,
                                           ExecutionMode::kRow)),
                 serial)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "exec/hash_join.h"
 #include "exec/row/row_operator.h"
 #include "test_operators.h"
 
@@ -114,6 +115,44 @@ TEST(RowHashJoinTest, AllJoinTypes) {
 
   auto anti = run(JoinType::kLeftAnti);
   EXPECT_EQ(anti.size(), 2u);  // key 1 and the null-key row
+}
+
+// Composite string keys that differ only in where a NUL byte falls must
+// not collide: ("a\0", "b") joins itself but not ("a", "\0b"). Checked
+// against the batch join.
+TEST(RowHashJoinTest, CompositeStringKeysWithNulBytesDoNotCollide) {
+  using std::string_literals::operator""s;
+  Schema ls({{"p1", DataType::kString, false},
+             {"p2", DataType::kString, false}});
+  Schema rs({{"b1", DataType::kString, false},
+             {"b2", DataType::kString, false}});
+  TableData left(ls), right(rs);
+  left.AppendRow({Value::String("a\0"s), Value::String("b")});
+  right.AppendRow({Value::String("a\0"s), Value::String("b")});
+  right.AppendRow({Value::String("a"), Value::String("\0b"s)});
+  RowStoreTable left_table("l", ls), right_table("r", rs);
+  left_table.Append(left).CheckOK();
+  right_table.Append(right).CheckOK();
+
+  RowHashJoinOperator row_join(
+      std::make_unique<RowStoreScanOperator>(&left_table),
+      std::make_unique<RowStoreScanOperator>(&right_table),
+      {JoinType::kInner, {0, 1}, {0, 1}});
+  auto rows = DrainRows(&row_join);
+  SortRows(&rows);
+
+  ExecContext ctx;
+  HashJoinOptions options;
+  options.probe_keys = {0, 1};
+  options.build_keys = {0, 1};
+  HashJoinOperator batch_join(
+      std::make_unique<TableSourceOperator>(&left, &ctx),
+      std::make_unique<TableSourceOperator>(&right, &ctx), options, &ctx);
+  auto batch_rows = testing_util::DrainOperator(&batch_join);
+  SortRows(&batch_rows);
+
+  ASSERT_EQ(batch_rows.size(), 1u);
+  EXPECT_EQ(rows, batch_rows);
 }
 
 TEST(RowHashAggregateTest, GroupsAndAggregates) {
