@@ -1,5 +1,7 @@
 #include "exec/exchange.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "common/span_trace.h"
 
@@ -40,6 +42,7 @@ Status ExchangeOperator::OpenImpl() {
   fragment_profile_ = OperatorProfile();
   fragments_merged_ = 0;
   rows_exchanged_ = 0;
+  fragment_ns_.assign(static_cast<size_t>(degree_), 0);
   first_error_ = Status::OK();
   active_producers_ = degree_;
   if (ctx_->memory_tracker != nullptr && mem_ == nullptr) {
@@ -91,6 +94,7 @@ void ExchangeOperator::Push(std::unique_ptr<Batch> batch) {
 }
 
 void ExchangeOperator::RunFragment(int fragment) {
+  const int64_t start_ns = MonotonicNowNs();
   ExecContext* fctx = fragment_ctxs_[static_cast<size_t>(fragment)].get();
   // Re-install the query's trace context on this worker thread: operator
   // spans below parent to a per-fragment span under the exchange's own
@@ -146,9 +150,10 @@ void ExchangeOperator::RunFragment(int fragment) {
     ctx_->trace_recorder->EndSpan(fragment_span);
   }
   std::lock_guard<std::mutex> lock(mu_);
+  fragment_ns_[static_cast<size_t>(fragment)] = MonotonicNowNs() - start_ns;
   if (!status.ok() && first_error_.ok()) first_error_ = status;
-  if (--active_producers_ == 0) queue_ready_.notify_all();
-  else queue_ready_.notify_all();
+  --active_producers_;
+  queue_ready_.notify_all();
 }
 
 Result<Batch*> ExchangeOperator::NextImpl() {
@@ -199,6 +204,14 @@ void ExchangeOperator::CloseImpl() {
 
 void ExchangeOperator::AppendProfileCounters(OperatorProfile* node) const {
   node->counters.push_back({"degree", degree_});
+  // Skew: the shortest and longest fragment wall times (factory through
+  // Close). Equal work gives min close to max.
+  if (!fragment_ns_.empty()) {
+    auto [min_ns, max_ns] =
+        std::minmax_element(fragment_ns_.begin(), fragment_ns_.end());
+    node->counters.push_back({"fragment_ns_min", *min_ns});
+    node->counters.push_back({"fragment_ns_max", *max_ns});
+  }
   node->counters.push_back({"rows_exchanged", rows_exchanged_});
   for (const auto& [name, value] : static_counters_) {
     node->counters.push_back({name, value});

@@ -18,8 +18,8 @@ namespace vstore {
 
 // Exchange operator: runs `degree` plan fragments on worker threads and
 // funnels their output batches through a bounded queue (the paper's batch
-// exchange for parallel plans; fragments typically cover disjoint row-group
-// ranges of a scan, often with partial aggregation on top).
+// exchange for parallel plans; fragments typically claim morsels of one
+// shared scan source, often with partial aggregation on top).
 //
 // Each fragment gets its own ExecContext; their stats are merged into the
 // parent context when the fragment finishes.
@@ -97,6 +97,8 @@ class ExchangeOperator final : public BatchOperator {
   OperatorProfile fragment_profile_;
   int64_t fragments_merged_ = 0;
   int64_t rows_exchanged_ = 0;
+  // Per-fragment wall time, written by each worker under mu_ as it ends.
+  std::vector<int64_t> fragment_ns_;
 
   std::unique_ptr<Batch> current_;  // batch handed to the consumer
 };

@@ -338,7 +338,9 @@ void HashAggregateOperator::UpdateStateFromPartialBatch(uint8_t* state,
 
 namespace {
 
-// GROUP BY key equality: nulls compare equal (one null group).
+// GROUP BY key equality between two serialized rows: nulls compare equal
+// (one null group) and doubles by bit pattern, as keys are hashed, so NaN
+// groups with NaN and -0.0 apart from +0.0 (the join's rule).
 bool GroupKeysEqual(const RowFormat& fmt, const uint8_t* a, const uint8_t* b,
                     const std::vector<int>& keys) {
   for (int k : keys) {
@@ -347,37 +349,11 @@ bool GroupKeysEqual(const RowFormat& fmt, const uint8_t* a, const uint8_t* b,
     if (na) continue;
     switch (PhysicalTypeOf(fmt.column_type(k))) {
       case PhysicalType::kInt64:
-        if (fmt.GetInt64(a, k) != fmt.GetInt64(b, k)) return false;
-        break;
       case PhysicalType::kDouble:
-        if (fmt.GetDouble(a, k) != fmt.GetDouble(b, k)) return false;
+        if (fmt.GetInt64(a, k) != fmt.GetInt64(b, k)) return false;
         break;
       case PhysicalType::kString:
         if (fmt.GetString(a, k) != fmt.GetString(b, k)) return false;
-        break;
-    }
-  }
-  return true;
-}
-
-bool GroupKeysEqualBatch(const RowFormat& fmt, const uint8_t* row,
-                         const std::vector<int>& row_keys, const Batch& batch,
-                         int64_t i, const std::vector<int>& batch_cols) {
-  for (size_t k = 0; k < row_keys.size(); ++k) {
-    const ColumnVector& cv = batch.column(batch_cols[k]);
-    bool na = fmt.IsNull(row, row_keys[k]);
-    bool nb = cv.validity()[i] == 0;
-    if (na != nb) return false;
-    if (na) continue;
-    switch (cv.physical_type()) {
-      case PhysicalType::kInt64:
-        if (fmt.GetInt64(row, row_keys[k]) != cv.ints()[i]) return false;
-        break;
-      case PhysicalType::kDouble:
-        if (fmt.GetDouble(row, row_keys[k]) != cv.doubles()[i]) return false;
-        break;
-      case PhysicalType::kString:
-        if (fmt.GetString(row, row_keys[k]) != cv.strings()[i]) return false;
         break;
     }
   }
@@ -391,8 +367,9 @@ Result<uint8_t*> HashAggregateOperator::GroupEntryFromBatch(const Batch& batch,
                                                             uint64_t hash) {
   uint8_t* found = nullptr;
   table_->ForEachCandidate(hash, [&](const uint8_t* payload) {
-    if (GroupKeysEqualBatch(*key_format_, payload, key_indices_, batch, i,
-                            options_.group_by)) {
+    if (key_format_->KeysEqualBatch(payload, key_indices_, batch, i,
+                                    options_.group_by,
+                                    /*nulls_equal=*/true)) {
       found = const_cast<uint8_t*>(payload);
       return false;
     }

@@ -264,11 +264,17 @@ void HashKeysBatch(const Batch& batch, const std::vector<int>& keys,
 bool RowFormat::KeysEqualBatch(const uint8_t* row,
                                const std::vector<int>& row_keys,
                                const Batch& batch, int64_t i,
-                               const std::vector<int>& batch_keys) const {
+                               const std::vector<int>& batch_keys,
+                               bool nulls_equal) const {
   for (size_t k = 0; k < row_keys.size(); ++k) {
     int rk = row_keys[k];
     const ColumnVector& cv = batch.column(batch_keys[k]);
-    if (IsNull(row, rk) || !cv.validity()[i]) return false;
+    const bool row_null = IsNull(row, rk);
+    const bool batch_null = cv.validity()[i] == 0;
+    if (row_null || batch_null) {
+      if (nulls_equal && row_null == batch_null) continue;
+      return false;
+    }
     switch (cv.physical_type()) {
       case PhysicalType::kInt64:
         if (GetInt64(row, rk) != cv.ints()[i]) return false;

@@ -77,11 +77,14 @@ class RowFormat {
   uint64_t HashKeysFromBatch(const Batch& batch, int64_t i,
                              const std::vector<int>& keys) const;
 
-  // Compares a serialized row's join keys against a batch row's (null
-  // keys never compare equal; doubles compare by bit pattern).
+  // Compares a serialized row's keys against a batch row's. Doubles
+  // compare by bit pattern, as they are hashed. Null keys never compare
+  // equal (join semantics) unless `nulls_equal`, where a null matches only
+  // a null (GROUP BY semantics).
   bool KeysEqualBatch(const uint8_t* row, const std::vector<int>& row_keys,
                       const Batch& batch, int64_t i,
-                      const std::vector<int>& batch_keys) const;
+                      const std::vector<int>& batch_keys,
+                      bool nulls_equal = false) const;
 
  private:
   size_t slot_offset(int c) const { return offsets_[static_cast<size_t>(c)]; }

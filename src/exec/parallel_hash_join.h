@@ -18,13 +18,14 @@ namespace vstore {
 // in a parallelized plan region and hands it (via shared_ptr) to every
 // probe fragment's HashJoinProbeOperator. The first fragment to Open()
 // runs the build inside EnsureBuilt(): `build_dop` threads each lower one
-// build-side fragment through `factory` (disjoint row-group stripes when
-// the build side is a plain scan chain) and insert its batches into one
-// shared JoinBuildTable — the serial join's build routine, here with
-// several inserters taking one partition lock per batch run. Joining the
-// build threads forms the barrier, after which the per-partition chained
-// tables and the pushed-down Bloom filter are constructed in parallel —
-// each finalize thread fills a private filter and the results are OR-merged.
+// build-side fragment through `factory` (when the build side is a plain
+// scan chain, the fragments claim morsels of one shared ScanMorsels) and
+// insert its batches into one shared JoinBuildTable — the serial join's
+// build routine, here with several inserters taking one partition lock per
+// batch run. Joining the build threads forms the barrier, after which the
+// per-partition chained tables and the pushed-down Bloom filter are
+// constructed in parallel — each finalize thread fills a private filter and
+// the results are OR-merged.
 // Fragments that call EnsureBuilt() while the build is running block until
 // it finishes; afterwards every fragment probes the same tables with no
 // synchronization.

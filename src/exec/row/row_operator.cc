@@ -7,6 +7,42 @@
 
 namespace vstore {
 
+namespace {
+
+// The row engine's one key encoder, for join and GROUP BY keys alike: a
+// presence byte, then the int64 bytes (so INT32/INT64/DATE32 compare by
+// value), the double's bit pattern (the batch engine's rule: NaN matches
+// NaN, -0.0 does not match +0.0), or a length-prefixed string. Fixed
+// widths and length prefixes keep composite keys from running into each
+// other, and a NULL is a lone 0 presence byte, unlike every value.
+void AppendKeyValue(const Value& v, std::string* key) {
+  if (v.is_null()) {
+    key->push_back('\0');
+    return;
+  }
+  key->push_back('\1');
+  switch (PhysicalTypeOf(v.type())) {
+    case PhysicalType::kInt64: {
+      int64_t x = v.int64();
+      key->append(reinterpret_cast<const char*>(&x), sizeof(x));
+      break;
+    }
+    case PhysicalType::kDouble: {
+      double x = v.dbl();
+      key->append(reinterpret_cast<const char*>(&x), sizeof(x));
+      break;
+    }
+    case PhysicalType::kString: {
+      const uint64_t len = v.str().size();
+      key->append(reinterpret_cast<const char*>(&len), sizeof(len));
+      *key += v.str();
+      break;
+    }
+  }
+}
+
+}  // namespace
+
 // --- RowStoreScanOperator -------------------------------------------------
 
 Result<bool> RowStoreScanOperator::Next(std::vector<Value>* row) {
@@ -136,26 +172,7 @@ std::string RowHashJoinOperator::KeyOf(const std::vector<Value>& row,
       *has_null = true;
       return key;
     }
-    // Normalize numerics so INT32/INT64/DATE32 compare by value.
-    switch (PhysicalTypeOf(v.type())) {
-      case PhysicalType::kInt64: {
-        int64_t x = v.int64();
-        key.append(reinterpret_cast<const char*>(&x), sizeof(x));
-        break;
-      }
-      case PhysicalType::kDouble: {
-        double x = v.dbl();
-        key.append(reinterpret_cast<const char*>(&x), sizeof(x));
-        break;
-      }
-      case PhysicalType::kString: {
-        // Length-prefixed, so composite keys cannot run into each other.
-        const uint64_t len = v.str().size();
-        key.append(reinterpret_cast<const char*>(&len), sizeof(len));
-        key += v.str();
-        break;
-      }
-    }
+    AppendKeyValue(v, &key);
   }
   return key;
 }
@@ -277,12 +294,9 @@ Status RowHashAggregateOperator::Open() {
   for (;;) {
     VSTORE_ASSIGN_OR_RETURN(bool more, input_->Next(&row));
     if (!more) break;
-    // Key: ToString-based normalization with null marker.
     std::string key;
     for (int k : options_.group_by) {
-      const Value& v = row[static_cast<size_t>(k)];
-      key += v.is_null() ? std::string("\1N") : v.ToString();
-      key.push_back('\0');
+      AppendKeyValue(row[static_cast<size_t>(k)], &key);
     }
     auto [it, inserted] = groups_.try_emplace(std::move(key));
     GroupState& state = it->second;

@@ -49,6 +49,53 @@ uint64_t HashValue(const Value& v) {
 
 }  // namespace
 
+ScanMorsels::ScanMorsels(TableSnapshot snapshot, bool include_deltas,
+                         int64_t batch_size)
+    : snapshot_(std::move(snapshot)), morsel_rows_(MorselRows(batch_size)) {
+  const int64_t groups = snapshot_->num_row_groups();
+  group_first_morsel_.reserve(static_cast<size_t>(groups) + 1);
+  int64_t morsels = 0;
+  for (int64_t g = 0; g < groups; ++g) {
+    group_first_morsel_.push_back(morsels);
+    const int64_t rows = snapshot_->row_group(g).num_rows();
+    morsels += std::max<int64_t>(1, (rows + morsel_rows_ - 1) / morsel_rows_);
+  }
+  group_first_morsel_.push_back(morsels);
+  num_morsels_ =
+      morsels + (include_deltas ? snapshot_->num_delta_stores() : 0);
+}
+
+int64_t ScanMorsels::MorselRows(int64_t batch_size) {
+  constexpr int64_t kTargetRows = 16384;
+  batch_size = std::max<int64_t>(batch_size, 1);
+  return std::max<int64_t>(1, (kTargetRows + batch_size / 2) / batch_size) *
+         batch_size;
+}
+
+ScanMorsels::Morsel ScanMorsels::Claim() {
+  // Relaxed suffices: the snapshot is immutable and was published to every
+  // fragment thread before it started; the counter only partitions work.
+  const int64_t i = next_.fetch_add(1, std::memory_order_relaxed);
+  Morsel m;
+  const int64_t compressed = group_first_morsel_.back();
+  if (i < compressed) {
+    auto it = std::upper_bound(group_first_morsel_.begin(),
+                               group_first_morsel_.end(), i);
+    const int64_t group = (it - group_first_morsel_.begin()) - 1;
+    const int64_t begin =
+        (i - group_first_morsel_[static_cast<size_t>(group)]) * morsel_rows_;
+    m.kind = Morsel::Kind::kGroupSlice;
+    m.index = group;
+    m.begin = begin;
+    m.end = std::min(begin + morsel_rows_,
+                     snapshot_->row_group(group).num_rows());
+  } else if (i < num_morsels_) {
+    m.kind = Morsel::Kind::kDeltaStore;
+    m.index = i - compressed;
+  }
+  return m;
+}
+
 ColumnStoreScanOperator::ColumnStoreScanOperator(const ColumnStoreTable* table,
                                                  Options options,
                                                  ExecContext* ctx)
@@ -86,8 +133,12 @@ ColumnStoreScanOperator::ColumnStoreScanOperator(const ColumnStoreTable* table,
 }
 
 Status ColumnStoreScanOperator::OpenImpl() {
-  snapshot_ =
-      options_.snapshot != nullptr ? options_.snapshot : table_->Snapshot();
+  morsels_ = options_.morsels != nullptr
+                 ? options_.morsels
+                 : std::make_shared<ScanMorsels>(table_->Snapshot(),
+                                                 options_.include_deltas,
+                                                 ctx_->batch_size);
+  snapshot_ = morsels_->snapshot();
   output_ = std::make_unique<Batch>(output_schema_, ctx_->batch_size);
   // Scratch vectors for predicate-only columns.
   scratch_.clear();
@@ -99,14 +150,8 @@ Status ColumnStoreScanOperator::OpenImpl() {
       scratch_.push_back(nullptr);
     }
   }
-  group_ = options_.group_begin;
-  group_limit_ = options_.group_end >= 0 ? options_.group_end
-                                         : snapshot_->num_row_groups();
-  group_limit_ = std::min(group_limit_, snapshot_->num_row_groups());
-  offset_ = 0;
   in_group_ = false;
-  delta_index_ = 0;
-  deltas_done_ = !options_.include_deltas;
+  decided_group_ = -1;
   delta_loaded_ = false;
   delta_row_pos_ = 0;
   rows_scanned_ = 0;
@@ -121,6 +166,7 @@ void ColumnStoreScanOperator::CloseImpl() {
   output_.reset();
   scratch_.clear();
   snapshot_.reset();
+  morsels_.reset();
 }
 
 void ColumnStoreScanOperator::AppendProfileCounters(
@@ -134,9 +180,39 @@ void ColumnStoreScanOperator::AppendProfileCounters(
   }
 }
 
-bool ColumnStoreScanOperator::AdvanceGroup() {
-  while (group_ < group_limit_) {
-    const RowGroup& rg = snapshot_->row_group(group_);
+Result<bool> ColumnStoreScanOperator::ClaimMorsel() {
+  for (;;) {
+    const ScanMorsels::Morsel m = morsels_->Claim();
+    switch (m.kind) {
+      case ScanMorsels::Morsel::Kind::kDone:
+        return false;
+      case ScanMorsels::Morsel::Kind::kGroupSlice:
+        if (GroupEliminated(m.index, m.begin == 0)) continue;
+        group_ = m.index;
+        offset_ = m.begin;
+        slice_end_ = m.end;
+        in_group_ = true;
+        return true;
+      case ScanMorsels::Morsel::Kind::kDeltaStore: {
+        delta_index_ = m.index;
+        delta_rows_.clear();
+        delta_row_pos_ = 0;
+        const DeltaStore& store = snapshot_->delta_store(delta_index_);
+        VSTORE_RETURN_IF_ERROR(store.ForEach(
+            [this](uint64_t /*rowid*/, const std::vector<Value>& row) {
+              delta_rows_.push_back(row);
+            }));
+        delta_loaded_ = true;
+        return true;
+      }
+    }
+  }
+}
+
+bool ColumnStoreScanOperator::GroupEliminated(int64_t group,
+                                              bool first_morsel) {
+  if (group != decided_group_) {
+    const RowGroup& rg = snapshot_->row_group(group);
     // Segment elimination: any predicate whose segment cannot match kills
     // the whole group.
     bool eliminated = false;
@@ -148,22 +224,22 @@ bool ColumnStoreScanOperator::AdvanceGroup() {
     }
     // A fully deleted group is also skipped.
     if (!eliminated &&
-        snapshot_->delete_bitmap(group_).deleted_count() == rg.num_rows()) {
+        snapshot_->delete_bitmap(group).deleted_count() == rg.num_rows()) {
       eliminated = true;
     }
-    if (eliminated) {
+    decided_group_ = group;
+    decided_eliminated_ = eliminated;
+  }
+  if (first_morsel) {
+    if (decided_eliminated_) {
       ++ctx_->stats.row_groups_eliminated;
       ++groups_eliminated_;
-      ++group_;
-      continue;
+    } else {
+      ++ctx_->stats.row_groups_scanned;
+      ++groups_scanned_;
     }
-    ++ctx_->stats.row_groups_scanned;
-    ++groups_scanned_;
-    offset_ = 0;
-    in_group_ = true;
-    return true;
   }
-  return false;
+  return decided_eliminated_;
 }
 
 void ColumnStoreScanOperator::ApplyPredicate(const ScanPredicate& pred,
@@ -287,8 +363,7 @@ void ColumnStoreScanOperator::ApplyBloom(const BloomFilterSpec& spec,
 
 Status ColumnStoreScanOperator::FillFromGroup() {
   const RowGroup& rg = snapshot_->row_group(group_);
-  const int64_t n =
-      std::min<int64_t>(ctx_->batch_size, rg.num_rows() - offset_);
+  const int64_t n = std::min<int64_t>(ctx_->batch_size, slice_end_ - offset_);
   output_->Reset();
   output_->set_num_rows(n);
 
@@ -468,34 +543,17 @@ Status ColumnStoreScanOperator::FillFromGroup() {
     ctx_->active_query->rows_scanned.fetch_add(n, std::memory_order_relaxed);
   }
   offset_ += n;
-  if (offset_ >= rg.num_rows()) {
-    in_group_ = false;
-    ++group_;
-  }
+  if (offset_ >= slice_end_) in_group_ = false;
   return Status::OK();
 }
 
 Result<int64_t> ColumnStoreScanOperator::FillFromDeltas() {
   output_->Reset();
   int64_t out_row = 0;
-  const Schema& table_schema = table_->schema();
 
-  while (out_row < ctx_->batch_size) {
-    if (!delta_loaded_) {
-      if (delta_index_ >= snapshot_->num_delta_stores()) {
-        deltas_done_ = true;
-        break;
-      }
-      delta_rows_.clear();
-      delta_row_pos_ = 0;
-      const DeltaStore& store = snapshot_->delta_store(delta_index_);
-      VSTORE_RETURN_IF_ERROR(store.ForEach(
-          [this](uint64_t /*rowid*/, const std::vector<Value>& row) {
-            delta_rows_.push_back(row);
-          }));
-      delta_loaded_ = true;
-    }
-
+  // Delta morsels follow every compressed one, so a claim made here yields
+  // another delta store or ends the scan.
+  while (delta_loaded_ && out_row < ctx_->batch_size) {
     for (; delta_row_pos_ < static_cast<int64_t>(delta_rows_.size()) &&
            out_row < ctx_->batch_size;
          ++delta_row_pos_) {
@@ -544,11 +602,10 @@ Result<int64_t> ColumnStoreScanOperator::FillFromDeltas() {
       }
       ++out_row;
     }
-    (void)table_schema;
 
     if (delta_row_pos_ >= static_cast<int64_t>(delta_rows_.size())) {
       delta_loaded_ = false;
-      ++delta_index_;
+      VSTORE_RETURN_IF_ERROR(ClaimMorsel().status());
     }
   }
 
@@ -559,15 +616,18 @@ Result<int64_t> ColumnStoreScanOperator::FillFromDeltas() {
 
 Result<Batch*> ColumnStoreScanOperator::NextImpl() {
   for (;;) {
-    if (in_group_ || AdvanceGroup()) {
+    if (in_group_) {
       VSTORE_RETURN_IF_ERROR(FillFromGroup());
       if (output_->active_count() > 0) return output_.get();
       continue;  // fully filtered batch; fetch more
     }
-    if (deltas_done_) return static_cast<Batch*>(nullptr);
-    VSTORE_ASSIGN_OR_RETURN(int64_t produced, FillFromDeltas());
-    if (produced > 0) return output_.get();
-    if (deltas_done_) return static_cast<Batch*>(nullptr);
+    if (delta_loaded_) {
+      VSTORE_ASSIGN_OR_RETURN(int64_t produced, FillFromDeltas());
+      if (produced > 0) return output_.get();
+      continue;
+    }
+    VSTORE_ASSIGN_OR_RETURN(bool claimed, ClaimMorsel());
+    if (!claimed) return static_cast<Batch*>(nullptr);
   }
 }
 

@@ -1,9 +1,11 @@
 #ifndef VSTORE_EXEC_SCAN_H_
 #define VSTORE_EXEC_SCAN_H_
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
+#include "common/macros.h"
 #include "exec/bloom_filter.h"
 #include "exec/operator.h"
 #include "storage/column_store.h"
@@ -28,10 +30,62 @@ struct BloomFilterSpec {
   const BloomFilter* filter;
 };
 
-// Vectorized scan over a column store: iterates compressed row groups
-// (skipping those eliminated by segment metadata), decodes only the needed
-// columns batch by batch, masks deleted rows via the delete bitmap, applies
-// pushed predicates and bitmap filters, then merges delta-store rows.
+// The shared work cursor of one column-store scan over one pinned table
+// version (morsel-driven scheduling, Leis et al., SIGMOD 2014). Each
+// compressed row group is cut into morsels of MorselRows(batch_size) rows,
+// a whole number of batches, so only a group's last morsel can end in a
+// short batch. After the compressed morsels come the delta stores, one
+// morsel each. Every fragment of a parallel scan claims morsels from one
+// instance, and each claim is one relaxed atomic fetch_add: a fragment
+// that runs ahead simply claims more, so fragments finish together
+// whatever the group sizes, and the useful degree is the morsel count, not
+// the row-group count. A serial scan owns a private instance and sees the
+// morsels in table order.
+//
+// A ScanMorsels serves one execution: once drained it stays drained. The
+// executor lowers a fresh physical plan per query, so scans over a shared
+// instance are never reopened (the SharedHashJoinBuild contract).
+class ScanMorsels {
+ public:
+  struct Morsel {
+    enum class Kind { kDone, kGroupSlice, kDeltaStore };
+    Kind kind = Kind::kDone;
+    // kGroupSlice: the row group. kDeltaStore: the delta store.
+    int64_t index = 0;
+    // kGroupSlice: rows [begin, end) of the group.
+    int64_t begin = 0;
+    int64_t end = 0;
+  };
+
+  ScanMorsels(TableSnapshot snapshot, bool include_deltas, int64_t batch_size);
+  VSTORE_DISALLOW_COPY_AND_ASSIGN(ScanMorsels);
+
+  // Rows per compressed morsel: about 16k, rounded to whole batches.
+  static int64_t MorselRows(int64_t batch_size);
+
+  // Hands out the next unclaimed morsel, or kDone. Thread-safe.
+  Morsel Claim();
+
+  // Compressed morsels (every group yields at least one, so even an empty
+  // or fully deleted group is decided and counted once) plus delta stores.
+  int64_t num_morsels() const { return num_morsels_; }
+  const TableSnapshot& snapshot() const { return snapshot_; }
+
+ private:
+  TableSnapshot snapshot_;
+  int64_t morsel_rows_;
+  // group_first_morsel_[g] is group g's first morsel; the last entry is
+  // the number of compressed morsels.
+  std::vector<int64_t> group_first_morsel_;
+  int64_t num_morsels_;
+  std::atomic<int64_t> next_{0};
+};
+
+// Vectorized scan over a column store: claims morsels from a ScanMorsels
+// (skipping groups eliminated by segment metadata), decodes only the
+// needed columns batch by batch, masks deleted rows via the delete bitmap,
+// applies pushed predicates and bitmap filters, then merges delta-store
+// rows.
 class ColumnStoreScanOperator final : public BatchOperator {
  public:
   struct Options {
@@ -39,22 +93,20 @@ class ColumnStoreScanOperator final : public BatchOperator {
     std::vector<int> projection;
     std::vector<ScanPredicate> predicates;
     std::vector<BloomFilterSpec> bloom_filters;
-    // Scan delta stores after compressed groups (fragment 0 only under
-    // exchange parallelism).
+    // Scan delta stores after compressed groups. A shared `morsels` source
+    // fixes this when it is built; the field is read only when the scan
+    // builds its own.
     bool include_deltas = true;
     // Bernoulli row sampling (paper: sampling support for statistics
     // creation): each row qualifies with this probability, decided by a
     // deterministic per-row hash so repeated scans see the same sample.
     double sample_fraction = 1.0;
     uint64_t sample_seed = 0x5eed;
-    // Row-group range [group_begin, group_end) for parallel fragments;
-    // group_end == -1 means all groups.
-    int64_t group_begin = 0;
-    int64_t group_end = -1;
-    // Table version to scan. When null the operator takes its own snapshot
-    // at Open. The planner sets this so every fragment of a parallel plan
-    // (and the group striping it computed) sees one consistent version.
-    TableSnapshot snapshot;
+    // Morsel source to claim work from. The planner shares one among every
+    // fragment of a parallel scan, so they all read one table version and
+    // together cover it exactly once. When null the operator builds a
+    // private source over its own snapshot at Open.
+    std::shared_ptr<ScanMorsels> morsels;
     // Display label for profiles, usually the table name.
     std::string label;
   };
@@ -75,12 +127,18 @@ class ColumnStoreScanOperator final : public BatchOperator {
   void AppendProfileCounters(OperatorProfile* node) const override;
 
  private:
-  // Advances to the next row group that survives segment elimination.
-  // Returns false when compressed groups are exhausted.
-  bool AdvanceGroup();
-  // Fills output_ from the current group starting at offset_.
+  // Claims the next morsel that has work: a group slice of a group that
+  // survives segment elimination, or a delta store (loaded into
+  // delta_rows_). Returns false when the source is drained.
+  Result<bool> ClaimMorsel();
+  // Segment elimination and the fully-deleted skip, decided per group.
+  // Counted when `first_morsel`, so each group counts once across all
+  // fragments sharing the source.
+  bool GroupEliminated(int64_t group, bool first_morsel);
+  // Fills output_ from the current group slice starting at offset_.
   Status FillFromGroup();
-  // Fills output_ from delta stores. Returns rows produced.
+  // Fills output_ from the loaded delta store, claiming further stores
+  // while the batch has room. Returns rows produced.
   Result<int64_t> FillFromDeltas();
   // Applies `pred` against decoded vector `cv`, ANDing into the active mask.
   void ApplyPredicate(const ScanPredicate& pred, const ColumnVector& cv,
@@ -113,8 +171,10 @@ class ColumnStoreScanOperator final : public BatchOperator {
   // lazily, only for surviving rows (lazy materialization).
   std::vector<bool> early_slot_;
 
-  // Pinned table version: the scan reads it lock-free; concurrent DML and
-  // tuple-mover passes install successor versions and never touch it.
+  // Morsel source and its pinned table version: the scan reads it
+  // lock-free; concurrent DML and tuple-mover passes install successor
+  // versions and never touch it.
+  std::shared_ptr<ScanMorsels> morsels_;
   TableSnapshot snapshot_;
   std::unique_ptr<Batch> output_;
   std::vector<std::unique_ptr<ColumnVector>> scratch_;
@@ -124,12 +184,15 @@ class ColumnStoreScanOperator final : public BatchOperator {
   // ANDed into the active mask (mutable: ApplyPredicate is const).
   mutable std::vector<uint8_t> verdict_scratch_;
 
-  int64_t group_ = 0;       // current row group
-  int64_t group_limit_ = 0;
-  int64_t offset_ = 0;      // row offset within current group
-  bool in_group_ = false;   // currently positioned inside a surviving group
+  int64_t group_ = 0;       // row group of the current slice
+  int64_t offset_ = 0;      // next row within the group
+  int64_t slice_end_ = 0;   // end of the current slice within the group
+  bool in_group_ = false;   // currently inside a group slice
+  // The last group GroupEliminated decided. One scan's claims rise
+  // monotonically, so consecutive claims usually share a group.
+  int64_t decided_group_ = -1;
+  bool decided_eliminated_ = false;
   int64_t delta_index_ = 0; // current delta store
-  bool deltas_done_ = false;
   std::vector<std::vector<Value>> delta_rows_;  // staging for current store
   int64_t delta_row_pos_ = 0;
   bool delta_loaded_ = false;

@@ -28,20 +28,36 @@ struct PendingBloom {
   const BloomFilter* filter;
 };
 
-// Scan bounds injected into a fragment's lowering (parallel aggregation:
-// each fragment scans a disjoint row-group range). Carries the table
-// snapshot the striping was computed from, so every fragment scans the
-// same version the planner saw.
-struct ForcedScanRange {
-  int64_t group_begin;
-  int64_t group_end;
-  bool include_deltas;
-  TableSnapshot snapshot;
+// Scan source injected into a fragment's lowering: the morsel source the
+// fragment's scan claims work from. Fragments of one column-store scan
+// share one source (and so one pinned snapshot); a sharded scan gives each
+// fragment its own shard's.
+struct ForcedScanSource {
+  std::shared_ptr<ScanMorsels> morsels;
   // Scatter-gather over a sharded table: when set, the fragment scans this
-  // physical shard (the snapshot above is that shard's pinned version)
+  // physical shard (the morsels above cover that shard's pinned version)
   // instead of the catalog entry's column store.
   const ColumnStoreTable* shard = nullptr;
 };
+
+// How one column-store scan is divided among fragments: a morsel source
+// over one pinned snapshot, shared by every fragment, and the degree worth
+// running, min(dop, morsels). The one place the planner divides a column
+// store; scans, probe spines and shared builds all go through it.
+struct ScanDivision {
+  std::shared_ptr<ScanMorsels> morsels;
+  int degree = 1;
+};
+
+ScanDivision DivideScan(const ColumnStoreTable* table, int dop,
+                        bool include_deltas, int64_t batch_size) {
+  ScanDivision division;
+  division.morsels = std::make_shared<ScanMorsels>(
+      table->Snapshot(), include_deltas, batch_size);
+  division.degree = static_cast<int>(std::clamp<int64_t>(
+      division.morsels->num_morsels(), 1, std::max(dop, 1)));
+  return division;
+}
 
 // Per-shard scan targets of one sharded-scan lowering, after partition
 // pruning; each target travels with the pinned snapshot its fragment scans.
@@ -112,15 +128,14 @@ void RecordShardScatter(const std::string& table, int64_t scanned,
       ->Increment(scanned);
 }
 
-// One ForcedScanRange per fragment for a parallelizable chain bottoming at
-// `scan_node`: disjoint row-group stripes of a column store (fragment 0
-// carrying the delta stores), or one whole unpruned shard per fragment for
-// a sharded table (every fragment carrying its shard's deltas). An empty
-// `ranges` means the chain should not parallelize here (fewer than two
+// One ForcedScanSource per fragment for a parallelizable chain bottoming
+// at `scan_node`: one shared morsel source for a column store, or one
+// whole unpruned shard per fragment for a sharded table. An empty
+// `sources` means the chain should not parallelize here (fewer than two
 // fragments' worth of work); callers fall back to the serial lowering,
 // where a sharded scan still becomes its own scatter exchange.
 struct ChainFragments {
-  std::vector<ForcedScanRange> ranges;
+  std::vector<ForcedScanSource> sources;
   bool sharded = false;
   int64_t shards_total = 0;
   int64_t shards_pruned = 0;
@@ -128,6 +143,7 @@ struct ChainFragments {
 
 ChainFragments PlanChainFragments(const Catalog& catalog,
                                   const PhysicalPlanOptions& options,
+                                  int64_t batch_size,
                                   const PlanPtr& scan_node) {
   ChainFragments out;
   const Catalog::Entry* entry = catalog.Find(scan_node->table);
@@ -138,31 +154,19 @@ ChainFragments PlanChainFragments(const Catalog& catalog,
     out.shards_pruned = fanout.shards_pruned;
     if (fanout.targets.size() < 2) return ChainFragments{};
     for (ShardFanout::Target& target : fanout.targets) {
-      ForcedScanRange range;
-      range.group_begin = 0;
-      range.group_end = -1;  // all of the shard's groups
-      range.include_deltas = options.include_deltas;
-      range.snapshot = std::move(target.snapshot);
-      range.shard = target.shard;
-      out.ranges.push_back(std::move(range));
+      ForcedScanSource source;
+      source.morsels = std::make_shared<ScanMorsels>(
+          std::move(target.snapshot), options.include_deltas, batch_size);
+      source.shard = target.shard;
+      out.sources.push_back(std::move(source));
     }
     return out;
   }
-  const ColumnStoreTable* table = entry->column_store;
-  // One snapshot shared by every fragment.
-  TableSnapshot snapshot = table->Snapshot();
-  int64_t groups = snapshot->num_row_groups();
-  int dop = static_cast<int>(std::min<int64_t>(options.dop, groups));
-  if (dop < 2) return out;
-  int64_t per = (groups + dop - 1) / dop;
-  for (int f = 0; f < dop; ++f) {
-    ForcedScanRange range;
-    range.group_begin = f * per;
-    range.group_end = std::min<int64_t>(range.group_begin + per, groups);
-    range.include_deltas = options.include_deltas && f == 0;
-    range.snapshot = snapshot;
-    out.ranges.push_back(std::move(range));
-  }
+  ScanDivision division = DivideScan(entry->column_store, options.dop,
+                                     options.include_deltas, batch_size);
+  if (division.degree < 2) return out;
+  out.sources.assign(static_cast<size_t>(division.degree),
+                     ForcedScanSource{division.morsels});
   return out;
 }
 
@@ -182,8 +186,8 @@ class Lowering {
                                       std::vector<PendingBloom> blooms);
   Result<RowOperatorPtr> BuildRow(const PlanPtr& plan);
 
-  void set_forced_scan_range(const ForcedScanRange* range) {
-    forced_scan_range_ = range;
+  void set_forced_scan_source(const ForcedScanSource* source) {
+    forced_scan_source_ = source;
   }
   void set_shared_joins(const SharedJoinMap* joins, int fragment) {
     shared_joins_ = joins;
@@ -194,17 +198,16 @@ class Lowering {
   Result<BatchOperatorPtr> BuildBatchScan(const PlanPtr& plan,
                                           std::vector<PendingBloom> blooms);
   // Scatter-gather scan of a sharded table: one fragment per unpruned
-  // shard under an Exchange, each scanning its shard's pinned snapshot
-  // (compressed groups and delta stores both — shards are disjoint, so
-  // there is no "fragment 0 owns the deltas" special case).
+  // shard under an Exchange, each claiming every morsel of its shard's
+  // pinned snapshot (compressed groups and delta stores both).
   Result<BatchOperatorPtr> BuildShardedScan(const PlanPtr& plan,
                                             const ShardedTable* sharded,
                                             std::vector<PendingBloom> blooms);
   // Parallel aggregation: partial aggregates in scan fragments, exchange,
   // final aggregate. Returns nullptr when the pattern does not apply.
   Result<BatchOperatorPtr> TryParallelAggregate(const PlanPtr& plan);
-  // Parallel join: shared multi-threaded build, probe fragments striped
-  // over the probe-side scan. Returns nullptr when the pattern does not
+  // Parallel join: shared multi-threaded build, probe fragments claiming
+  // morsels of the probe-side scan. Returns nullptr when the pattern does not
   // apply.
   Result<BatchOperatorPtr> TryParallelJoin(const PlanPtr& plan,
                                            std::vector<PendingBloom> blooms);
@@ -219,7 +222,7 @@ class Lowering {
   ExecContext* ctx_;
   const PhysicalPlanOptions& options_;
   PhysicalPlan* out_;
-  const ForcedScanRange* forced_scan_range_ = nullptr;
+  const ForcedScanSource* forced_scan_source_ = nullptr;
   const SharedJoinMap* shared_joins_ = nullptr;
   int fragment_id_ = 0;
 };
@@ -380,7 +383,7 @@ Result<BatchOperatorPtr> Lowering::BuildBatchScan(
   }
 
   const bool is_shard_fragment =
-      forced_scan_range_ != nullptr && forced_scan_range_->shard != nullptr;
+      forced_scan_source_ != nullptr && forced_scan_source_->shard != nullptr;
   if (entry->has_sharded_table() && !is_shard_fragment) {
     return BuildShardedScan(plan, entry->sharded_table, std::move(blooms));
   }
@@ -411,7 +414,7 @@ Result<BatchOperatorPtr> Lowering::BuildBatchScan(
   // Inside a scatter fragment the scan targets the injected shard; the
   // shard's schema is the logical table's, so name resolution is unchanged.
   const ColumnStoreTable* table =
-      is_shard_fragment ? forced_scan_range_->shard : entry->column_store;
+      is_shard_fragment ? forced_scan_source_->shard : entry->column_store;
   ColumnStoreScanOperator::Options scan_options;
   scan_options.include_deltas = options_.include_deltas;
   scan_options.label = plan->table;
@@ -433,30 +436,24 @@ Result<BatchOperatorPtr> Lowering::BuildBatchScan(
     scan_options.bloom_filters.push_back(BloomFilterSpec{idx, pb.filter});
   }
 
-  if (forced_scan_range_ != nullptr) {
-    scan_options.group_begin = forced_scan_range_->group_begin;
-    scan_options.group_end = forced_scan_range_->group_end;
-    scan_options.include_deltas =
-        scan_options.include_deltas && forced_scan_range_->include_deltas;
-    scan_options.snapshot = forced_scan_range_->snapshot;
+  if (forced_scan_source_ != nullptr) {
+    scan_options.morsels = forced_scan_source_->morsels;
     return BatchOperatorPtr(
         std::make_unique<ColumnStoreScanOperator>(table, scan_options, ctx_));
   }
 
-  // One snapshot per scan lowering: the striping below and every fragment
-  // read this version, regardless of concurrent DML or tuple-mover passes.
-  TableSnapshot snapshot = table->Snapshot();
-  scan_options.snapshot = snapshot;
-  int dop = options_.dop;
-  int64_t groups = snapshot->num_row_groups();
-  if (dop <= 1 || groups < 2) {
+  // One morsel source per scan lowering: every fragment reads its pinned
+  // version, regardless of concurrent DML or tuple-mover passes.
+  ScanDivision division = DivideScan(table, options_.dop,
+                                     scan_options.include_deltas,
+                                     ctx_->batch_size);
+  scan_options.morsels = division.morsels;
+  if (division.degree < 2) {
     return BatchOperatorPtr(
         std::make_unique<ColumnStoreScanOperator>(table, scan_options, ctx_));
   }
 
-  // Parallel scan: stripe row groups across fragments; fragment 0 also
-  // covers delta stores.
-  dop = static_cast<int>(std::min<int64_t>(dop, groups));
+  // Parallel scan: every fragment claims morsels from the shared source.
   Schema out_schema = table->schema().Project(
       scan_options.projection.empty()
           ? [&] {
@@ -467,19 +464,14 @@ Result<BatchOperatorPtr> Lowering::BuildBatchScan(
               return all;
             }()
           : scan_options.projection);
-  auto factory = [table, scan_options, groups, dop](
-                     int fragment,
+  auto factory = [table, scan_options](
+                     int /*fragment*/,
                      ExecContext* fctx) -> Result<BatchOperatorPtr> {
-    ColumnStoreScanOperator::Options frag = scan_options;
-    int64_t per = (groups + dop - 1) / dop;
-    frag.group_begin = fragment * per;
-    frag.group_end = std::min<int64_t>(frag.group_begin + per, groups);
-    frag.include_deltas = scan_options.include_deltas && fragment == 0;
     return BatchOperatorPtr(
-        std::make_unique<ColumnStoreScanOperator>(table, frag, fctx));
+        std::make_unique<ColumnStoreScanOperator>(table, scan_options, fctx));
   };
   return BatchOperatorPtr(std::make_unique<ExchangeOperator>(
-      out_schema, std::move(factory), dop, ctx_));
+      out_schema, std::move(factory), division.degree, ctx_));
 }
 
 Result<BatchOperatorPtr> Lowering::BuildShardedScan(
@@ -531,7 +523,8 @@ Result<BatchOperatorPtr> Lowering::BuildShardedScan(
     const ShardFanout::Target& target =
         (*targets)[static_cast<size_t>(fragment)];
     ColumnStoreScanOperator::Options frag = scan_options;
-    frag.snapshot = target.snapshot;
+    frag.morsels = std::make_shared<ScanMorsels>(
+        target.snapshot, frag.include_deltas, fctx->batch_size);
     return BatchOperatorPtr(std::make_unique<ColumnStoreScanOperator>(
         target.shard, frag, fctx));
   };
@@ -562,44 +555,28 @@ Result<std::shared_ptr<SharedHashJoinBuild>> Lowering::PrepareSharedJoin(
   }
 
   // The build parallelizes only when the build side is itself a plain
-  // scan/filter/project chain over enough row groups; anything else (nested
-  // joins, aggregates) is lowered and drained by a single build fragment.
+  // scan/filter/project chain: its fragments claim morsels of one shared
+  // source. Anything else (nested joins, aggregates) is lowered and drained
+  // by a single build fragment.
   PlanPtr build_plan = plan->children[1];
   std::string build_table;
-  int64_t build_groups = 0;
-  int build_dop = 1;
-  TableSnapshot build_snapshot;
+  ScanDivision division;
   if (IsFragmentableChain(catalog_, build_plan, &build_table)) {
-    const ColumnStoreTable* table = catalog_.GetColumnStore(build_table);
-    build_snapshot = table->Snapshot();
-    build_groups = build_snapshot->num_row_groups();
-    build_dop =
-        static_cast<int>(std::max<int64_t>(
-            1, std::min<int64_t>(probe_dop, build_groups)));
+    division = DivideScan(catalog_.GetColumnStore(build_table), probe_dop,
+                          options_.include_deltas, ctx_->batch_size);
   }
 
   const Catalog* catalog = &catalog_;
   PhysicalPlanOptions options = options_;
   options.dop = 1;  // build fragments must not nest exchanges
-  bool include_deltas = options_.include_deltas;
-  int64_t groups = build_groups;
-  int dop = build_dop;
+  ForcedScanSource source{division.morsels};
   SharedHashJoinBuild::BuildFactory factory =
-      [catalog, options, build_plan, groups, dop, include_deltas,
-       build_snapshot](
-          int fragment, ExecContext* fctx,
+      [catalog, options, build_plan, source](
+          int /*fragment*/, ExecContext* fctx,
           std::shared_ptr<void>* resources) -> Result<BatchOperatorPtr> {
     auto scratch = std::make_shared<PhysicalPlan>();
     Lowering sub(*catalog, fctx, options, scratch.get());
-    ForcedScanRange range;
-    if (dop > 1) {
-      int64_t per = (groups + dop - 1) / dop;
-      range.group_begin = fragment * per;
-      range.group_end = std::min<int64_t>(range.group_begin + per, groups);
-      range.include_deltas = include_deltas && fragment == 0;
-      range.snapshot = build_snapshot;
-      sub.set_forced_scan_range(&range);
-    }
+    if (source.morsels != nullptr) sub.set_forced_scan_source(&source);
     VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr op,
                             sub.BuildBatch(build_plan, {}));
     // Joins nested inside the build subtree own Bloom filters through the
@@ -609,7 +586,7 @@ Result<std::shared_ptr<SharedHashJoinBuild>> Lowering::PrepareSharedJoin(
   };
   return std::make_shared<SharedHashJoinBuild>(
       plan->children[1]->schema, plan->children[0]->schema,
-      std::move(join_options), std::move(factory), build_dop, probe_dop,
+      std::move(join_options), std::move(factory), division.degree, probe_dop,
       ctx_->operator_memory_budget);
 }
 
@@ -632,26 +609,27 @@ Result<BatchOperatorPtr> Lowering::TryParallelJoin(
   if (!IsParallelJoinChain(catalog_, plan, &scan_node, &joins)) {
     return BatchOperatorPtr(nullptr);
   }
-  ChainFragments frags = PlanChainFragments(catalog_, options_, scan_node);
-  const int dop = static_cast<int>(frags.ranges.size());
+  ChainFragments frags =
+      PlanChainFragments(catalog_, options_, ctx_->batch_size, scan_node);
+  const int dop = static_cast<int>(frags.sources.size());
   if (dop < 2) return BatchOperatorPtr(nullptr);
 
   VSTORE_ASSIGN_OR_RETURN(std::shared_ptr<SharedJoinMap> shared_map,
                           PrepareSharedJoins(joins, dop));
 
-  // Fragments lower the whole probe spine over their stripe or shard; the
-  // join nodes resolve to probe operators over the shared builds.
+  // Fragments lower the whole probe spine over the shared morsels or their
+  // shard; the join nodes resolve to probe operators over the shared builds.
   const Catalog* catalog = &catalog_;
   PhysicalPlanOptions options = options_;
   PlanPtr chain_plan = plan;
-  auto ranges = std::make_shared<std::vector<ForcedScanRange>>(
-      std::move(frags.ranges));
-  auto factory = [catalog, options, chain_plan, shared_map, ranges, blooms](
+  auto sources = std::make_shared<std::vector<ForcedScanSource>>(
+      std::move(frags.sources));
+  auto factory = [catalog, options, chain_plan, shared_map, sources, blooms](
                      int fragment,
                      ExecContext* fctx) -> Result<BatchOperatorPtr> {
     PhysicalPlan scratch;
     Lowering sub(*catalog, fctx, options, &scratch);
-    sub.set_forced_scan_range(&(*ranges)[static_cast<size_t>(fragment)]);
+    sub.set_forced_scan_source(&(*sources)[static_cast<size_t>(fragment)]);
     sub.set_shared_joins(shared_map.get(), fragment);
     VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr chain,
                             sub.BuildBatch(chain_plan, blooms));
@@ -680,8 +658,9 @@ Result<BatchOperatorPtr> Lowering::TryParallelAggregate(const PlanPtr& plan) {
   if (!IsParallelJoinChain(catalog_, plan->children[0], &scan_node, &joins)) {
     return BatchOperatorPtr(nullptr);
   }
-  ChainFragments frags = PlanChainFragments(catalog_, options_, scan_node);
-  const int dop = static_cast<int>(frags.ranges.size());
+  ChainFragments frags =
+      PlanChainFragments(catalog_, options_, ctx_->batch_size, scan_node);
+  const int dop = static_cast<int>(frags.sources.size());
   if (dop < 2) return BatchOperatorPtr(nullptr);
 
   const Schema& child_schema = plan->children[0]->schema;
@@ -697,18 +676,19 @@ Result<BatchOperatorPtr> Lowering::TryParallelAggregate(const PlanPtr& plan) {
   VSTORE_ASSIGN_OR_RETURN(std::shared_ptr<SharedJoinMap> shared_map,
                           PrepareSharedJoins(joins, dop));
 
-  // Fragments: chain + partial aggregation over a stripe or shard.
+  // Fragments: chain + partial aggregation over the shared morsels or a
+  // shard.
   const Catalog* catalog = &catalog_;
   PhysicalPlanOptions options = options_;
   PlanPtr child_plan = plan->children[0];
-  auto ranges = std::make_shared<std::vector<ForcedScanRange>>(
-      std::move(frags.ranges));
+  auto sources = std::make_shared<std::vector<ForcedScanSource>>(
+      std::move(frags.sources));
   auto factory = [catalog, options, child_plan, shared_map, aggs, group_by,
-                  ranges](int fragment, ExecContext* fctx)
+                  sources](int fragment, ExecContext* fctx)
       -> Result<BatchOperatorPtr> {
     PhysicalPlan scratch;  // fragments create no shared resources
     Lowering sub(*catalog, fctx, options, &scratch);
-    sub.set_forced_scan_range(&(*ranges)[static_cast<size_t>(fragment)]);
+    sub.set_forced_scan_source(&(*sources)[static_cast<size_t>(fragment)]);
     sub.set_shared_joins(shared_map.get(), fragment);
     VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr chain,
                             sub.BuildBatch(child_plan, {}));
@@ -786,7 +766,7 @@ Result<BatchOperatorPtr> Lowering::BuildBatch(
           return BatchOperatorPtr(std::make_unique<HashJoinProbeOperator>(
               std::move(probe), shared, fragment_id_, ctx_));
         }
-      } else if (options_.dop > 1 && forced_scan_range_ == nullptr) {
+      } else if (options_.dop > 1 && forced_scan_source_ == nullptr) {
         VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr parallel,
                                 TryParallelJoin(plan, blooms));
         if (parallel != nullptr) return parallel;
@@ -821,7 +801,7 @@ Result<BatchOperatorPtr> Lowering::BuildBatch(
     }
 
     case PlanKind::kAggregate: {
-      if (options_.dop > 1 && forced_scan_range_ == nullptr) {
+      if (options_.dop > 1 && forced_scan_source_ == nullptr) {
         VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr parallel,
                                 TryParallelAggregate(plan));
         if (parallel != nullptr) return parallel;

@@ -96,5 +96,59 @@ TEST(ExchangeStressTest, RepeatedParallelScanDeliversEveryRow) {
   }
 }
 
+// Four fragments race for the morsels of one row group plus delta stores,
+// with deleted rows in between: every run must deliver each live row
+// exactly once, so the aggregate matches the serial plan bit for bit.
+TEST(ExchangeStressTest, RepeatedMorselScanOfOneGroupIsExact) {
+  Catalog catalog;
+  TableData data = MakeTestTable(65536);
+  ColumnStoreTable::Options options;
+  options.row_group_size = 65536;
+  options.min_compress_rows = 10;
+  auto cs = std::make_unique<ColumnStoreTable>("t", data.schema(), options);
+  cs->BulkLoad(data).CheckOK();
+  for (int64_t i = 0; i < 3000; ++i) {
+    cs->Insert({Value::Int64(100000 + i), Value::Int64(i % 10),
+                Value::String("delta"), Value::Double(0.0)})
+        .ValueOrDie();
+  }
+  for (int64_t i = 0; i < 65536; i += 3) {
+    cs->Delete(MakeCompressedRowId(0, i)).CheckOK();
+  }
+  catalog.AddColumnStore(std::move(cs)).CheckOK();
+
+  PlanBuilder b = PlanBuilder::Scan(catalog, "t");
+  b.Aggregate({"bucket"}, {{AggFn::kCountStar, "", "cnt"},
+                           {AggFn::kSum, "id", "total"}});
+  PlanPtr plan = b.Build();
+  QueryOptions serial;
+  serial.mode = ExecutionMode::kBatch;
+  QueryResult baseline =
+      QueryExecutor(&catalog, serial).Execute(plan).ValueOrDie();
+  auto sorted_rows = [](const QueryResult& result) {
+    std::vector<std::vector<Value>> rows;
+    for (int64_t i = 0; i < result.data.num_rows(); ++i) {
+      rows.push_back(result.data.GetRow(i));
+    }
+    testing_util::SortRows(&rows);
+    return rows;
+  };
+  const auto expected = sorted_rows(baseline);
+
+  QueryOptions parallel = serial;
+  parallel.dop = 4;
+  QueryExecutor exec(&catalog, parallel);
+  const int repeats = Repeats();
+  for (int r = 0; r < repeats; ++r) {
+    QueryResult result = exec.Execute(plan).ValueOrDie();
+    ASSERT_EQ(sorted_rows(result), expected) << "run " << r;
+    ASSERT_EQ(result.stats.rows_scanned, baseline.stats.rows_scanned)
+        << "run " << r;
+    ASSERT_EQ(result.stats.delta_rows_scanned, 3000) << "run " << r;
+    ASSERT_EQ(result.stats.row_groups_scanned, 1) << "run " << r;
+    ASSERT_EQ(result.profile.CounterDeep("degree"), 4) << "run " << r;
+  }
+}
+
 }  // namespace
 }  // namespace vstore

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/random.h"
 #include "exec/hash_aggregate.h"
 #include "exec/scalar_aggregate.h"
+#include "query/executor.h"
 #include "test_operators.h"
 
 namespace vstore {
@@ -367,6 +370,56 @@ TEST(AggPhaseTest, PartialSchemaShape) {
   EXPECT_EQ(partial.field(1).type, DataType::kDouble);  // avg sum
   EXPECT_EQ(partial.field(2).type, DataType::kInt64);   // count
   EXPECT_EQ(partial.field(3).type, DataType::kString);  // min(name)
+}
+
+// GROUP BY on a double key groups by bit pattern, the rule its hash uses:
+// NaN joins the NaN group, -0.0 and +0.0 stay apart, and two doubles that
+// print alike stay apart. Two 3-row groups, each holding a NaN (so the
+// column keeps raw bits and -0.0 survives compression), give the dop-4
+// plan two fragments, so NaN partials from different fragments must merge
+// in the final aggregate.
+TEST(HashAggregateTest, DoubleKeysGroupByBitPatternAtEveryDop) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Schema schema({{"d", DataType::kDouble, false}});
+  TableData data(schema);
+  for (double d : {nan, -0.0, 1.0000001, nan, 0.0, 1.0000002}) {
+    data.AppendRow({Value::Double(d)});
+  }
+  ColumnStoreTable::Options table_options;
+  table_options.row_group_size = 3;
+  table_options.min_compress_rows = 1;
+  auto cs = std::make_unique<ColumnStoreTable>("t", schema, table_options);
+  cs->BulkLoad(data).CheckOK();
+  ASSERT_EQ(cs->Snapshot()->num_row_groups(), 2);
+  Catalog catalog;
+  catalog.AddColumnStore(std::move(cs)).CheckOK();
+  PlanBuilder b = PlanBuilder::Scan(catalog, "t");
+  b.Aggregate({"d"}, {{AggFn::kCountStar, "", "cnt"}});
+  PlanPtr plan = b.Build();
+
+  for (ExecutionMode mode : {ExecutionMode::kBatch, ExecutionMode::kRow}) {
+    for (int dop : {1, 4}) {
+      QueryOptions options;
+      options.mode = mode;
+      options.dop = dop;
+      QueryResult result =
+          QueryExecutor(&catalog, options).Execute(plan).ValueOrDie();
+      ASSERT_EQ(result.data.num_rows(), 5) << "dop " << dop;
+      int64_t nan_count = 0, negative_zero = 0;
+      for (int64_t i = 0; i < result.data.num_rows(); ++i) {
+        std::vector<Value> row = result.data.GetRow(i);
+        if (std::isnan(row[0].dbl())) nan_count = row[1].int64();
+        if (row[0].dbl() == 0.0 && std::signbit(row[0].dbl())) {
+          negative_zero = row[1].int64();
+        }
+      }
+      EXPECT_EQ(nan_count, 2) << "dop " << dop;
+      EXPECT_EQ(negative_zero, 1) << "dop " << dop;
+      if (mode == ExecutionMode::kBatch && dop == 4) {
+        EXPECT_NE(result.profile.CounterDeep("degree"), 0);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ TEST(IntegrationTest, AnswersStableThroughTableLifecycle) {
   EXPECT_EQ(with_deltas["north"], baseline["north"] + added_north);
   EXPECT_EQ(with_deltas["south"], baseline["south"]);
 
-  // 2. Parallel plans see the same data (fragment 0 carries the deltas).
+  // 2. Parallel plans see the same data (delta stores are morsels too).
   EXPECT_EQ(w.UnitsByRegion(ExecutionMode::kBatch, 4), with_deltas);
 
   // 3. Row mode sees the same data.

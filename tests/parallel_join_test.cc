@@ -220,6 +220,48 @@ TEST(ParallelJoinTest, ExplainAnalyzeShowsPerFragmentBuildCounters) {
   EXPECT_GE(join->Counter("table_build_ns", -1), 0);
 }
 
+// One 65,536-row group per table: row-group striping ran this serially,
+// morsels split it four ways on both sides of the join. The results match
+// dop 1 and the row engine.
+TEST(ParallelJoinTest, OneRowGroupSplitsIntoMorselsOnBothSides) {
+  Catalog catalog;
+  for (const auto& [name, seed] :
+       {std::pair<std::string, uint64_t>{"fact", 42}, {"dim", 7}}) {
+    TableData data = MakeTestTable(65536, seed);
+    ColumnStoreTable::Options options;
+    options.row_group_size = 65536;
+    options.min_compress_rows = 10;
+    auto cs = std::make_unique<ColumnStoreTable>(name, data.schema(), options);
+    cs->BulkLoad(data).CheckOK();
+    ASSERT_EQ(cs->Snapshot()->num_row_groups(), 1);
+    catalog.AddColumnStore(std::move(cs)).CheckOK();
+  }
+  PlanBuilder dim = PlanBuilder::Scan(catalog, "dim");
+  dim.Select({"id"});
+  PlanBuilder renamed = PlanBuilder::From(dim.Build());
+  renamed.Project({expr::Column(renamed.schema(), "id")}, {"did"});
+  PlanBuilder b = PlanBuilder::Scan(catalog, "fact");
+  b.Join(JoinType::kInner, renamed.Build(), {"id"}, {"did"});
+  b.Aggregate({"bucket"},
+              {{AggFn::kCountStar, "", "cnt"}, {AggFn::kSum, "id", "total"}});
+  PlanPtr plan = b.Build();
+
+  QueryResult serial = RunQuery(catalog, plan, 1);
+  QueryResult parallel = RunQuery(catalog, plan, 4);
+  QueryResult row =
+      RunQuery(catalog, plan, 1, /*memory_budget=*/0, ExecutionMode::kRow);
+  EXPECT_EQ(SortedRowStrings(parallel), SortedRowStrings(serial));
+  EXPECT_EQ(SortedRowStrings(row), SortedRowStrings(serial));
+
+  const OperatorProfile* exchange = FindNode(parallel.profile, "Exchange");
+  ASSERT_NE(exchange, nullptr);
+  EXPECT_EQ(exchange->Counter("degree"), 4);
+  const OperatorProfile* probe = FindNode(parallel.profile, "HashJoinProbe");
+  ASSERT_NE(probe, nullptr);
+  EXPECT_EQ(probe->Counter("build_fragments"), 4);
+  EXPECT_EQ(probe->Counter("build_rows"), 65536);
+}
+
 // --- NULL keys, two-column keys, sparse build batches ----------------------
 
 // Nullable join keys with duplicates: about one k in nine and one tag in

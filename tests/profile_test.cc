@@ -206,6 +206,79 @@ TEST(ProfileTest, ExchangeFragmentProfilesSumToSingleThreadedRun) {
   EXPECT_EQ(exchange->Counter("rows_exchanged"), fragments.rows_produced);
 }
 
+TEST(ProfileTest, ExchangeReportsFragmentWallTimeBounds) {
+  ProfileFixture f;
+  PlanBuilder b = PlanBuilder::Scan(f.catalog, "t");
+  b.Aggregate({"bucket"}, {{AggFn::kCountStar, "", "cnt"}});
+  QueryOptions parallel;
+  parallel.mode = ExecutionMode::kBatch;
+  parallel.dop = 4;
+  QueryResult four = RunQuery(f.catalog, b.Build(), parallel);
+
+  const OperatorProfile* exchange = FindNode(four.profile, "Exchange");
+  ASSERT_NE(exchange, nullptr);
+  const int64_t min_ns = exchange->Counter("fragment_ns_min", -1);
+  const int64_t max_ns = exchange->Counter("fragment_ns_max", -1);
+  EXPECT_GT(min_ns, 0);
+  EXPECT_LE(min_ns, max_ns);
+  // The existing counters keep their names next to the new ones.
+  EXPECT_EQ(exchange->Counter("degree"), 4);
+  ASSERT_FALSE(exchange->children.empty());
+  EXPECT_EQ(exchange->Counter("rows_exchanged"),
+            exchange->children[0].rows_produced);
+}
+
+// Row groups larger than a morsel, one of them eliminated: however the
+// fragments share a group's morsels, each group is counted once, so the
+// dop-4 counters equal the dop-1 counters exactly.
+TEST(ProfileTest, MorselGroupCountersMatchSerialUnderElimination) {
+  Catalog catalog;
+  TableData data = MakeTestTable(120000);
+  ColumnStoreTable::Options options;
+  options.row_group_size = 40000;  // several morsels per group
+  options.min_compress_rows = 10;
+  auto cs = std::make_unique<ColumnStoreTable>("t", data.schema(), options);
+  cs->BulkLoad(data).CheckOK();
+  catalog.AddColumnStore(std::move(cs)).CheckOK();
+
+  PlanBuilder b = PlanBuilder::Scan(catalog, "t");
+  b.Filter(expr::Ge(expr::Column(b.schema(), "id"),
+                    expr::Lit(Value::Int64(50000))));
+  b.Aggregate({"bucket"}, {{AggFn::kCountStar, "", "cnt"},
+                           {AggFn::kSum, "id", "total"}});
+  PlanPtr plan = b.Build();
+  QueryOptions serial;
+  serial.mode = ExecutionMode::kBatch;
+  QueryResult one = RunQuery(catalog, plan, serial);
+  QueryOptions parallel = serial;
+  parallel.dop = 4;
+  QueryResult four = RunQuery(catalog, plan, parallel);
+
+  // Three groups, so the degree of 4 comes from sub-group morsels.
+  const OperatorProfile* exchange = FindNode(four.profile, "Exchange");
+  ASSERT_NE(exchange, nullptr);
+  EXPECT_EQ(exchange->Counter("degree"), 4);
+  EXPECT_EQ(one.profile.CounterDeep("groups_scanned"), 2);
+  EXPECT_EQ(one.profile.CounterDeep("groups_eliminated"), 1);
+  EXPECT_EQ(four.profile.CounterDeep("groups_scanned"), 2);
+  EXPECT_EQ(four.profile.CounterDeep("groups_eliminated"), 1);
+  EXPECT_EQ(four.stats.row_groups_scanned, one.stats.row_groups_scanned);
+  EXPECT_EQ(four.stats.row_groups_eliminated,
+            one.stats.row_groups_eliminated);
+  EXPECT_EQ(four.profile.CounterDeep("rows_scanned"),
+            one.profile.CounterDeep("rows_scanned"));
+  std::vector<std::vector<Value>> rows_one, rows_four;
+  for (int64_t i = 0; i < one.data.num_rows(); ++i) {
+    rows_one.push_back(one.data.GetRow(i));
+  }
+  for (int64_t i = 0; i < four.data.num_rows(); ++i) {
+    rows_four.push_back(four.data.GetRow(i));
+  }
+  testing_util::SortRows(&rows_one);
+  testing_util::SortRows(&rows_four);
+  EXPECT_EQ(rows_one, rows_four);
+}
+
 TEST(ProfileTest, RenderersProduceWellFormedOutput) {
   ProfileFixture f;
   PlanBuilder build = PlanBuilder::Scan(f.catalog, "t");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "exec/hash_aggregate.h"
 #include "exec/hash_join.h"
 #include "exec/row/row_operator.h"
 #include "test_operators.h"
@@ -170,6 +171,60 @@ TEST(RowHashAggregateTest, GroupsAndAggregates) {
   int64_t total = 0;
   for (const auto& row : rows) total += row[1].int64();
   EXPECT_EQ(total, 1000);
+}
+
+// Groups `data` on `group_by` with COUNT(*) in both engines; returns the
+// row engine's rows and the batch engine's, each sorted.
+std::pair<std::vector<std::vector<Value>>, std::vector<std::vector<Value>>>
+GroupBothEngines(const TableData& data, const std::vector<int>& group_by) {
+  RowStoreTable table("t", data.schema());
+  table.Append(data).CheckOK();
+  RowHashAggregateOperator::Options row_options;
+  row_options.group_by = group_by;
+  row_options.aggregates = {{AggFn::kCountStar, -1, "cnt"}};
+  RowHashAggregateOperator row_agg(
+      std::make_unique<RowStoreScanOperator>(&table), row_options);
+  auto rows = DrainRows(&row_agg);
+  SortRows(&rows);
+
+  ExecContext ctx;
+  HashAggregateOperator::Options batch_options;
+  batch_options.group_by = group_by;
+  batch_options.aggregates = {{AggFn::kCountStar, -1, "cnt"}};
+  HashAggregateOperator batch_agg(
+      std::make_unique<TableSourceOperator>(&data, &ctx), batch_options,
+      &ctx);
+  auto batch_rows = testing_util::DrainOperator(&batch_agg);
+  SortRows(&batch_rows);
+  return {std::move(rows), std::move(batch_rows)};
+}
+
+// Doubles that print alike under %g are still distinct GROUP BY keys.
+TEST(RowHashAggregateTest, NearbyDoublesFormSeparateGroups) {
+  Schema schema({{"d", DataType::kDouble, false}});
+  TableData data(schema);
+  data.AppendRow({Value::Double(1.0000001)});
+  data.AppendRow({Value::Double(1.0000002)});
+  data.AppendRow({Value::Double(1.0000002)});
+  auto [rows, batch_rows] = GroupBothEngines(data, {0});
+  ASSERT_EQ(batch_rows.size(), 2u);
+  EXPECT_EQ(rows, batch_rows);
+}
+
+// Composite string keys that differ only in where a NUL byte falls are
+// distinct groups: ("a\0", "b") is not ("a", "\0b").
+TEST(RowHashAggregateTest, CompositeStringKeysWithNulBytesDoNotCollide) {
+  using std::string_literals::operator""s;
+  Schema schema({{"s1", DataType::kString, true},
+                 {"s2", DataType::kString, true}});
+  TableData data(schema);
+  data.AppendRow({Value::String("a\0"s), Value::String("b")});
+  data.AppendRow({Value::String("a\0"s), Value::String("b")});
+  data.AppendRow({Value::String("a"), Value::String("\0b"s)});
+  data.AppendRow({Value::Null(DataType::kString), Value::String("b")});
+  auto [rows, batch_rows] = GroupBothEngines(data, {0, 1});
+  ASSERT_EQ(batch_rows.size(), 3u);
+  EXPECT_EQ(rows, batch_rows);
 }
 
 TEST(RowSortTest, SortsWithLimit) {

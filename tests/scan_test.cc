@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <tuple>
+
 #include "common/hash.h"
 #include "exec/hash_table.h"
 #include "exec/scan.h"
@@ -187,16 +191,86 @@ TEST(ScanTest, ExcludeDeltas) {
   EXPECT_EQ(rows.size(), 1000u);
 }
 
-TEST(ScanTest, GroupRangeForParallelFragments) {
-  ScanFixture f(4000);
+// Two scans sharing one ScanMorsels split the table between them: row
+// groups larger than a morsel, a closed and an open delta store, scattered
+// deletes and one fully deleted group. Calls alternate on one thread, so
+// the split is deterministic; the rows must be disjoint, their union the
+// table, and each group counted once across both scans.
+TEST(ScanTest, SharedMorselsSplitTheTableDisjointly) {
+  TableData data = testing_util::MakeTestTable(60000);
+  ColumnStoreTable::Options table_options;
+  table_options.row_group_size = 20000;
+  table_options.min_compress_rows = 100;
+  ColumnStoreTable table("t", data.schema(), table_options);
+  table.BulkLoad(data).CheckOK();
+  for (int64_t i = 0; i < 25000; ++i) {
+    table
+        .Insert({Value::Int64(100000 + i), Value::Int64(1),
+                 Value::String("delta"), Value::Double(0.0)})
+        .ValueOrDie();
+  }
+  for (int64_t i = 0; i < 20000; i += 5) {
+    table.Delete(MakeCompressedRowId(0, i)).CheckOK();
+  }
+  for (int64_t i = 0; i < 20000; ++i) {
+    table.Delete(MakeCompressedRowId(2, i)).CheckOK();
+  }
+
+  ExecContext ctx_a, ctx_b;
+  ctx_a.batch_size = ctx_b.batch_size = 1024;
+  auto morsels = std::make_shared<ScanMorsels>(table.Snapshot(),
+                                               /*include_deltas=*/true,
+                                               ctx_a.batch_size);
+  ASSERT_EQ(morsels->snapshot()->num_row_groups(), 3);
+  ASSERT_EQ(morsels->snapshot()->num_delta_stores(), 2);
+  // Two morsels per 20000-row group, then one per delta store.
+  EXPECT_EQ(morsels->num_morsels(), 3 * 2 + 2);
+
   ColumnStoreScanOperator::Options options;
-  options.group_begin = 1;
-  options.group_end = 3;
-  options.include_deltas = false;
-  auto rows = f.Drain(options);
-  EXPECT_EQ(rows.size(), 2000u);
-  ASSERT_FALSE(rows.empty());
-  EXPECT_EQ(rows[0][0], Value::Int64(1000));
+  options.projection = {0};  // id
+  options.morsels = morsels;
+  ColumnStoreScanOperator a(&table, options, &ctx_a);
+  ColumnStoreScanOperator b(&table, options, &ctx_b);
+  a.Open().CheckOK();
+  b.Open().CheckOK();
+  std::set<int64_t> ids_a, ids_b;
+  bool a_done = false, b_done = false;
+  while (!a_done || !b_done) {
+    for (auto [scan, ids, done] :
+         {std::tuple{&a, &ids_a, &a_done}, std::tuple{&b, &ids_b, &b_done}}) {
+      if (*done) continue;
+      Batch* batch = scan->Next().ValueOrDie();
+      if (batch == nullptr) {
+        *done = true;
+        continue;
+      }
+      for (int64_t i = 0; i < batch->num_rows(); ++i) {
+        if (batch->active()[i]) {
+          EXPECT_TRUE(ids->insert(batch->column(0).ints()[i]).second);
+        }
+      }
+    }
+  }
+  a.Close();
+  b.Close();
+
+  std::set<int64_t> expected;
+  for (int64_t i = 0; i < 40000; ++i) {
+    if (i >= 20000 || i % 5 != 0) expected.insert(i);
+  }
+  for (int64_t i = 0; i < 25000; ++i) expected.insert(100000 + i);
+  EXPECT_FALSE(ids_a.empty());
+  EXPECT_FALSE(ids_b.empty());
+  std::set<int64_t> both = ids_a;
+  for (int64_t id : ids_b) EXPECT_TRUE(both.insert(id).second) << id;
+  EXPECT_EQ(both, expected);
+  EXPECT_EQ(ctx_a.stats.row_groups_scanned + ctx_b.stats.row_groups_scanned,
+            2);
+  EXPECT_EQ(
+      ctx_a.stats.row_groups_eliminated + ctx_b.stats.row_groups_eliminated,
+      1);
+  EXPECT_EQ(ctx_a.stats.delta_rows_scanned + ctx_b.stats.delta_rows_scanned,
+            25000);
 }
 
 TEST(ScanTest, BloomFilterDropsNonMatching) {
