@@ -54,18 +54,12 @@ Status ExchangeOperator::OpenImpl() {
   fragment_ctxs_.clear();
   fragment_trackers_.clear();
   for (int i = 0; i < degree_; ++i) {
-    auto fctx = std::make_unique<ExecContext>();
-    fctx->batch_size = ctx_->batch_size;
-    fctx->operator_memory_budget = ctx_->operator_memory_budget;
-    fctx->compile_expressions = ctx_->compile_expressions;
-    fctx->trace_recorder = ctx_->trace_recorder;
-    fctx->active_query = ctx_->active_query;
     if (mem_ != nullptr) {
       fragment_trackers_.push_back(std::make_unique<MemoryTracker>(
           "fragment:" + std::to_string(i), "fragment", mem_.get()));
-      fctx->memory_tracker = fragment_trackers_.back().get();
     }
-    fragment_ctxs_.push_back(std::move(fctx));
+    fragment_ctxs_.push_back(MakeFragmentContext(
+        *ctx_, mem_ != nullptr ? fragment_trackers_.back().get() : nullptr));
   }
   workers_.reserve(static_cast<size_t>(degree_));
   for (int i = 0; i < degree_; ++i) {

@@ -1,11 +1,14 @@
 #include "exec/hash_join.h"
 
 #include <algorithm>
+#include <barrier>
 #include <bit>
 #include <cstring>
+#include <thread>
 
 #include "common/macros.h"
 #include "common/metrics.h"
+#include "common/span_trace.h"
 #include "exec/spill.h"
 
 namespace vstore {
@@ -283,9 +286,12 @@ Status JoinBuildTable::SpillPartitionLocked(Partition* part,
   return Status::OK();
 }
 
-Status JoinBuildTable::Finalize(int stripe, int stride, BloomFilter* bloom) {
-  for (size_t p = static_cast<size_t>(stripe); p < partitions_.size();
-       p += static_cast<size_t>(stride)) {
+Status JoinBuildTable::Finalize(std::atomic<int>* next_partition,
+                                BloomFilter* bloom) {
+  for (;;) {
+    const size_t p = static_cast<size_t>(
+        next_partition->fetch_add(1, std::memory_order_relaxed));
+    if (p >= partitions_.size()) break;
     Partition& part = partitions_[p];
     if (!part.spilled) {
       part.table = std::make_unique<SerializedRowHashTable>(
@@ -548,105 +554,291 @@ Status JoinProber::LoadDrainPartition(JoinBuildTable::Partition* part) {
   return Status::OK();
 }
 
-HashJoinOperator::HashJoinOperator(BatchOperatorPtr probe,
-                                   BatchOperatorPtr build, Options options,
-                                   ExecContext* ctx)
-    : probe_(std::move(probe)),
-      build_(std::move(build)),
+SharedHashJoinBuild::SharedHashJoinBuild(Schema build_schema, Options options,
+                                         BuildFactory factory, int build_dop,
+                                         int probe_fragments,
+                                         int64_t memory_budget)
+    : build_schema_(std::move(build_schema)),
       options_(std::move(options)),
-      ctx_(ctx),
-      output_schema_(HashJoinOutputSchema(probe_->output_schema(),
-                                          build_->output_schema(),
-                                          options_.join_type)),
-      build_format_(build_->output_schema()),
-      prober_(probe_.get(), probe_->output_schema(), output_schema_,
-              build_format_, options_, ctx, [] { return true; }) {
+      factory_(std::move(factory)),
+      build_dop_(build_dop),
+      probe_fragments_(probe_fragments),
+      memory_budget_(memory_budget),
+      build_format_(build_schema_),
+      active_probe_fragments_(probe_fragments) {
+  VSTORE_CHECK(build_dop_ >= 1 && probe_fragments_ >= 1);
   VSTORE_CHECK(!options_.probe_keys.empty() &&
                options_.probe_keys.size() == options_.build_keys.size());
-  VSTORE_CHECK(std::has_single_bit(
-      static_cast<unsigned>(options_.num_partitions)));
+  VSTORE_CHECK(
+      std::has_single_bit(static_cast<unsigned>(options_.num_partitions)));
   // Bloom pushdown must not hide probe rows from outer/anti joins.
   if (options_.bloom_target != nullptr) {
     VSTORE_CHECK(options_.join_type == JoinType::kInner ||
                  options_.join_type == JoinType::kLeftSemi);
-    bloom_ = options_.bloom_target;
-  }
-  if (ctx_ != nullptr && ctx_->memory_tracker != nullptr) {
-    mem_ = std::make_unique<MemoryTracker>(name(), "operator",
-                                           ctx_->memory_tracker);
   }
 }
 
-HashJoinOperator::~HashJoinOperator() { Close(); }
+SharedHashJoinBuild::~SharedHashJoinBuild() = default;
 
-std::string HashJoinOperator::name() const {
-  return std::string("HashJoin(") + JoinTypeName(options_.join_type) + ")";
+std::shared_ptr<SharedHashJoinBuild> SharedHashJoinBuild::Serial(
+    BatchOperatorPtr build, Options options, int64_t memory_budget) {
+  Schema schema = build->output_schema();
+  auto op = std::make_shared<BatchOperatorPtr>(std::move(build));
+  BuildFactory factory = [op](int /*fragment*/, ExecContext* /*fctx*/,
+                              std::shared_ptr<void>* /*resources*/)
+      -> Result<BatchOperatorPtr> {
+    VSTORE_CHECK(*op != nullptr);  // one execution
+    return std::move(*op);
+  };
+  return std::make_shared<SharedHashJoinBuild>(
+      std::move(schema), std::move(options), std::move(factory),
+      /*build_dop=*/1, /*probe_fragments=*/1, memory_budget);
 }
 
-void HashJoinOperator::AppendProfileCounters(OperatorProfile* node) const {
-  node->counters.push_back({"build_rows", build_rows_});
-  node->counters.push_back({"probe_rows", prober_.probe_rows()});
-  // Same names as the shared build's counters, so a dop-1 build and a
-  // dop-N build compare directly in EXPLAIN ANALYZE.
-  node->counters.push_back({"build_ns", build_ns_});
-  node->counters.push_back({"table_build_ns", table_build_ns_});
-  if (spill_partitions_ > 0) {
-    node->counters.push_back({"spill_partitions", spill_partitions_});
-    node->counters.push_back({"build_rows_spilled", build_rows_spilled_});
-    node->counters.push_back(
-        {"probe_rows_spilled", prober_.probe_rows_spilled()});
-  }
-  if (bloom_ != nullptr) {
-    node->counters.push_back({"bloom_published", 1});
-  }
+std::string SharedHashJoinBuild::join_name() const {
+  return std::string(probe_fragments_ > 1 ? "HashJoinProbe(" : "HashJoin(") +
+         JoinTypeName(options_.join_type) + ")";
 }
 
-Status HashJoinOperator::RunBuildPhase() {
+Status SharedHashJoinBuild::EnsureBuilt(ExecContext* caller_ctx) {
+  // The mutex doubles as the happens-before edge: every fragment passes
+  // through it once, after which the built state is read without locks.
+  std::lock_guard<std::mutex> lock(build_mu_);
+  if (built_) return build_status_;
+  build_status_ = RunBuild(caller_ctx);
+  built_ = true;
+  return build_status_;
+}
+
+Status SharedHashJoinBuild::RunBuild(ExecContext* caller_ctx) {
   const int64_t build_start = MonotonicNowNs();
-  table_ = std::make_unique<JoinBuildTable>(
-      build_->output_schema(), build_format_, options_,
-      ctx_->operator_memory_budget, mem_.get(), ctx_->memory_tracker);
-  VSTORE_RETURN_IF_ERROR(build_->Open());
-  JoinBuildTable::Inserter inserter;
-  for (;;) {
-    VSTORE_ASSIGN_OR_RETURN(Batch * batch, build_->Next());
-    if (batch == nullptr) break;
-    VSTORE_RETURN_IF_ERROR(table_->InsertBatch(*batch, &inserter, ctx_));
+  if (caller_ctx->memory_tracker != nullptr) {
+    mem_ = std::make_unique<MemoryTracker>(join_name(), "operator",
+                                           caller_ctx->memory_tracker);
   }
-  build_->Close();
-  build_rows_ = inserter.rows;
-  build_rows_spilled_ = table_->build_rows_spilled();
-  spill_partitions_ = table_->spill_partitions();
-  RecordPeakMemory(table_->peak_bytes());
-  build_ns_ = MonotonicNowNs() - build_start;
+  table_ = std::make_unique<JoinBuildTable>(build_schema_, build_format_,
+                                            options_, memory_budget_,
+                                            mem_.get(),
+                                            caller_ctx->memory_tracker);
+  fragment_build_rows_.assign(static_cast<size_t>(build_dop_), 0);
 
-  const int64_t finalize_start = MonotonicNowNs();
-  if (bloom_ != nullptr) bloom_->Init(std::max<int64_t>(build_rows_, 1));
-  VSTORE_RETURN_IF_ERROR(table_->Finalize(0, 1, bloom_));
-  table_build_ns_ = MonotonicNowNs() - finalize_start;
+  // Every fragment drains its operator tree into the shared partitions
+  // (phase 1), waits at the barrier, then claims partitions to finalize
+  // (phase 2). The barrier's completion step runs once, after every
+  // fragment's phase 1, failed ones included; a failed phase 1 skips
+  // phase 2 on every thread.
+  std::vector<Status> statuses(static_cast<size_t>(build_dop_));
+  bool finalize = true;
+  int64_t finalize_start = 0;
+  std::atomic<int> next_partition{0};
+  std::barrier phase_barrier(build_dop_, [&]() noexcept {
+    build_ns_ = MonotonicNowNs() - build_start;
+    finalize_start = MonotonicNowNs();
+    for (const Status& s : statuses) finalize = finalize && s.ok();
+    for (int64_t rows : fragment_build_rows_) build_rows_ += rows;
+    if (finalize && options_.bloom_target != nullptr) {
+      options_.bloom_target->Init(std::max<int64_t>(build_rows_, 1));
+    }
+  });
+  auto run_fragment = [&](int f, ExecContext* fctx) {
+    Status& status = statuses[static_cast<size_t>(f)];
+    status = BuildFragment(f, fctx);
+    phase_barrier.arrive_and_wait();
+    if (finalize) status = FinalizePartitions(&next_partition);
+  };
+
+  if (build_dop_ == 1) {
+    run_fragment(0, caller_ctx);
+  } else {
+    // Fragment contexts keep stats thread-local; they are merged into the
+    // caller's context after the join (the exchange then rolls them up
+    // like any other fragment stats). Build threads are raw std::threads:
+    // re-install the caller's trace context on each so build-side operator
+    // spans (and any waits the build scans hit) still attribute to the
+    // query, parented to a per-fragment "build_fragment:<f>" span. Every
+    // span is closed before EnsureBuilt returns.
+    std::vector<std::unique_ptr<ExecContext>> fctxs;
+    for (int f = 0; f < build_dop_; ++f) {
+      fctxs.push_back(
+          MakeFragmentContext(*caller_ctx, caller_ctx->memory_tracker));
+    }
+    QueryTraceContext parent_tc = CurrentQueryTraceContext();
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(build_dop_));
+    for (int f = 0; f < build_dop_; ++f) {
+      threads.emplace_back([&, f] {
+        TraceSpan* span =
+            parent_tc.recorder != nullptr
+                ? parent_tc.recorder->StartSpan(
+                      "build_fragment:" + std::to_string(f), "fragment",
+                      parent_tc.current)
+                : nullptr;
+        QueryTraceScope trace_scope(parent_tc.recorder,
+                                    span != nullptr ? span : parent_tc.current,
+                                    parent_tc.active_query);
+        run_fragment(f, fctxs[static_cast<size_t>(f)].get());
+        if (span != nullptr) parent_tc.recorder->EndSpan(span);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (auto& fctx : fctxs) caller_ctx->stats.MergeFrom(fctx->stats);
+  }
+  if (finalize) table_build_ns_ = MonotonicNowNs() - finalize_start;
+  for (const Status& s : statuses) {
+    VSTORE_RETURN_IF_ERROR(s);
+  }
   return Status::OK();
 }
 
+Status SharedHashJoinBuild::BuildFragment(int fragment, ExecContext* fctx) {
+  std::shared_ptr<void> resources;
+  BatchOperatorPtr op;
+  {
+    Result<BatchOperatorPtr> op_result = factory_(fragment, fctx, &resources);
+    if (!op_result.ok()) return op_result.status();
+    op = std::move(op_result).value();
+  }
+  JoinBuildTable::Inserter inserter;
+  Status status = op->Open();
+  while (status.ok()) {
+    Result<Batch*> batch_result = op->Next();
+    if (!batch_result.ok()) {
+      status = batch_result.status();
+      break;
+    }
+    Batch* batch = batch_result.value();
+    if (batch == nullptr) break;
+    status = table_->InsertBatch(*batch, &inserter, fctx);
+  }
+  op->Close();
+
+  OperatorProfile profile = op->BuildProfile();
+  {
+    std::lock_guard<std::mutex> lock(merge_mu_);
+    if (profile_fragments_ == 0) {
+      build_profile_ = std::move(profile);
+    } else {
+      build_profile_.MergeFrom(profile);
+    }
+    ++profile_fragments_;
+    fragment_build_rows_[static_cast<size_t>(fragment)] = inserter.rows;
+    lock_wait_ns_ += inserter.lock_wait_ns;
+  }
+  return status;
+}
+
+Status SharedHashJoinBuild::FinalizePartitions(
+    std::atomic<int>* next_partition) {
+  BloomFilter* target = options_.bloom_target;
+  // A lone finalizing thread fills the published filter directly.
+  if (target == nullptr || build_dop_ == 1) {
+    return table_->Finalize(next_partition, target);
+  }
+  BloomFilter local_bloom;
+  local_bloom.Init(std::max<int64_t>(build_rows_, 1));
+  VSTORE_RETURN_IF_ERROR(table_->Finalize(next_partition, &local_bloom));
+  const int64_t merge_start = MonotonicNowNs();
+  std::lock_guard<std::mutex> lock(merge_mu_);
+  target->MergeFrom(local_bloom);
+  bloom_merge_ns_ += MonotonicNowNs() - merge_start;
+  return Status::OK();
+}
+
+bool SharedHashJoinBuild::FinishProbeFragment() {
+  std::lock_guard<std::mutex> lock(merge_mu_);
+  VSTORE_DCHECK(active_probe_fragments_ > 0);
+  return --active_probe_fragments_ == 0;
+}
+
+void SharedHashJoinBuild::AppendBuildProfile(OperatorProfile* node) const {
+  node->counters.push_back({"build_rows", build_rows_});
+  node->counters.push_back({"build_fragments", build_dop_});
+  for (size_t f = 0; f < fragment_build_rows_.size(); ++f) {
+    node->counters.push_back(
+        {"build_rows_f" + std::to_string(f), fragment_build_rows_[f]});
+  }
+  node->counters.push_back({"build_ns", build_ns_});
+  node->counters.push_back({"table_build_ns", table_build_ns_});
+  node->counters.push_back({"build_lock_wait_ns", lock_wait_ns_});
+  if (options_.bloom_target != nullptr) {
+    node->counters.push_back({"bloom_published", 1});
+    node->counters.push_back({"bloom_merge_ns", bloom_merge_ns_});
+  }
+  if (table_ != nullptr && table_->spill_partitions() > 0) {
+    node->counters.push_back({"spill_partitions", table_->spill_partitions()});
+    node->counters.push_back(
+        {"build_rows_spilled", table_->build_rows_spilled()});
+  }
+  if (profile_fragments_ > 0) {
+    OperatorProfile child = build_profile_;
+    // Build threads run beside the probe; one inline fragment runs nested
+    // in the join's Open(), like any other input.
+    child.fragments = build_dop_ > 1 ? profile_fragments_ : 0;
+    node->children.push_back(std::move(child));
+  }
+}
+
+HashJoinOperator::HashJoinOperator(BatchOperatorPtr probe,
+                                   BatchOperatorPtr build, Options options,
+                                   ExecContext* ctx)
+    : HashJoinOperator(std::move(probe),
+                       SharedHashJoinBuild::Serial(
+                           std::move(build), std::move(options),
+                           ctx->operator_memory_budget),
+                       /*fragment=*/0, ctx) {}
+
+HashJoinOperator::HashJoinOperator(
+    BatchOperatorPtr probe, std::shared_ptr<SharedHashJoinBuild> shared,
+    int fragment, ExecContext* ctx)
+    : probe_(std::move(probe)),
+      shared_(std::move(shared)),
+      fragment_(fragment),
+      ctx_(ctx),
+      output_schema_(HashJoinOutputSchema(probe_->output_schema(),
+                                          shared_->build_schema(),
+                                          shared_->options().join_type)),
+      prober_(probe_.get(), probe_->output_schema(), output_schema_,
+              shared_->build_format(), shared_->options(), ctx,
+              [this] { return shared_->FinishProbeFragment(); }) {}
+
+HashJoinOperator::~HashJoinOperator() { Close(); }
+
+void HashJoinOperator::AppendProfileCounters(OperatorProfile* node) const {
+  node->counters.push_back({"probe_rows", prober_.probe_rows()});
+  if (prober_.probe_rows_spilled() > 0) {
+    node->counters.push_back(
+        {"probe_rows_spilled", prober_.probe_rows_spilled()});
+  }
+}
+
+void HashJoinOperator::AppendProfileChildren(OperatorProfile* node) const {
+  BatchOperator::AppendProfileChildren(node);
+  // Exactly one fragment reports the shared build: the exchange merge sums
+  // counters by name across fragments, so dop copies would multiply them.
+  if (fragment_ == 0) shared_->AppendBuildProfile(node);
+}
+
 Status HashJoinOperator::OpenImpl() {
-  table_.reset();
-  if (mem_ != nullptr) mem_->ResetPeak();
-  build_rows_ = 0;
-  build_ns_ = 0;
-  table_build_ns_ = 0;
-  build_rows_spilled_ = 0;
-  spill_partitions_ = 0;
-  VSTORE_RETURN_IF_ERROR(RunBuildPhase());
-  prober_.Open(table_.get(), mem_.get());
-  // Open the probe side only after the build completed, so pushed Bloom
-  // filters are populated before the probe scan starts.
+  VSTORE_RETURN_IF_ERROR(shared_->EnsureBuilt(ctx_));
+  // The build is the memory-heavy half; attribute its high-water mark to
+  // one fragment so the exchange's max-merge reports it once.
+  if (fragment_ == 0) RecordPeakMemory(shared_->peak_bytes());
+  // The drain's reload storage charges the build tracker: the drain
+  // reloads spilled build partitions, which is build-side memory.
+  prober_.Open(&shared_->table(), shared_->memory_tracker());
+  // Open the probe input only now: a pushed Bloom filter is populated by
+  // the build above and the probe-side scan reads it during Open().
   return probe_->Open();
 }
 
 void HashJoinOperator::CloseImpl() {
+  // One fragment reports the build's tracker + spill bytes so the exchange
+  // merge (sum across fragments) counts them once.
+  if (fragment_ == 0) {
+    RecordMemoryTracker(shared_->memory_tracker());
+    RecordSpillBytes(shared_->spill_bytes());
+  }
   prober_.Close();
-  RecordMemoryTracker(mem_.get());
-  if (table_ != nullptr) RecordSpillBytes(table_->spill_bytes());
-  table_.reset();  // frees the partitions and closes their spill files
   probe_->Close();  // no-op unless the build succeeded and opened it
 }
 

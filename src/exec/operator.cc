@@ -23,6 +23,14 @@ Counter* ExprBatchCounter(bool compiled) {
 
 }  // namespace
 
+std::unique_ptr<ExecContext> MakeFragmentContext(
+    const ExecContext& parent, MemoryTracker* memory_tracker) {
+  auto fctx = std::make_unique<ExecContext>(parent);
+  fctx->stats = ExecStats();
+  fctx->memory_tracker = memory_tracker;
+  return fctx;
+}
+
 Status BatchOperator::Open() {
   profile_open_ns_ = 0;
   profile_next_ns_ = 0;

@@ -77,6 +77,12 @@ struct ExecContext {
   ExecStats stats;
 };
 
+// Context for one parallel fragment of `parent`'s query: every setting and
+// hook of the parent, fresh stats (whoever runs the fragment merges them
+// back), and `memory_tracker` as the fragment's tracker.
+std::unique_ptr<ExecContext> MakeFragmentContext(const ExecContext& parent,
+                                                 MemoryTracker* memory_tracker);
+
 // Pull-based vectorized operator (paper §5: operators consume and produce
 // batches). Protocol: Open() once, then Next() until it yields nullptr,
 // then Close(). The returned batch is owned by the operator and valid until

@@ -419,5 +419,68 @@ TEST(ParallelJoinTest, NullBuildKeysAreDroppedAtBuild) {
   EXPECT_EQ(probe->Counter("build_rows"), non_null);
 }
 
+// --- Fragment contexts ------------------------------------------------------
+
+void CollectExprNodes(const OperatorProfile& node,
+                      std::vector<const OperatorProfile*>* out) {
+  if (node.name == "Filter" || node.name == "Project") out->push_back(&node);
+  for (const OperatorProfile& child : node.children) {
+    CollectExprNodes(child, out);
+  }
+}
+
+// Build fragments inherit the query's settings: with compilation off, no
+// Filter or Project of a dop-4 join runs compiled, on the build side either.
+TEST(ParallelJoinTest, BuildFragmentsKeepCompileSetting) {
+  JoinFixture f;
+  QueryOptions options;
+  options.mode = ExecutionMode::kBatch;
+  options.dop = 4;
+  options.compile_expressions = false;
+  QueryExecutor exec(&f.catalog, options);
+  QueryResult result =
+      exec.Execute(JoinPlan(f.catalog, JoinType::kInner)).ValueOrDie();
+  EXPECT_EQ(result.rows_returned, 10000);
+
+  const OperatorProfile* probe = FindNode(result.profile, "HashJoinProbe");
+  ASSERT_NE(probe, nullptr);
+  ASSERT_GE(probe->Counter("build_fragments"), 2);
+  std::vector<const OperatorProfile*> build_exprs;
+  ASSERT_EQ(probe->children.size(), 2u);
+  CollectExprNodes(probe->children[1], &build_exprs);
+  ASSERT_FALSE(build_exprs.empty());
+  std::vector<const OperatorProfile*> all_exprs;
+  CollectExprNodes(result.profile, &all_exprs);
+  for (const OperatorProfile* node : all_exprs) {
+    EXPECT_EQ(node->Counter("compiled", -1), 0) << node->name;
+  }
+}
+
+// Build-side scans bump the query's live progress counter like probe-side
+// ones: sys.active_queries' rows_scanned ends equal to the profile's.
+TEST(ParallelJoinTest, BuildFragmentsReportLiveRowsScanned) {
+  JoinFixture f;
+  ActiveQuery active;
+  ExecContext ctx;
+  ctx.active_query = &active;
+  PhysicalPlanOptions options;
+  options.mode = ExecutionMode::kBatch;
+  options.dop = 4;
+  PhysicalPlan physical =
+      CreatePhysicalPlan(f.catalog, JoinPlan(f.catalog, JoinType::kInner),
+                         &ctx, options)
+          .ValueOrDie();
+  int64_t rows = testing_util::DrainOperator(physical.root.get()).size();
+  EXPECT_EQ(rows, 10000);
+  OperatorProfile profile = physical.root->BuildProfile();
+
+  const OperatorProfile* probe = FindNode(profile, "HashJoinProbe");
+  ASSERT_NE(probe, nullptr);
+  ASSERT_GE(probe->Counter("build_fragments"), 2);
+  // Both tables are scanned in full: fact by the probe, dim by the build.
+  EXPECT_EQ(profile.CounterDeep("rows_scanned"), 30000);
+  EXPECT_EQ(active.rows_scanned.load(), profile.CounterDeep("rows_scanned"));
+}
+
 }  // namespace
 }  // namespace vstore

@@ -38,14 +38,16 @@ run_one() {
     # against live writers and the tuple mover, the sharded-table test that
     # adds cross-shard updates and per-shard movers under scatter-gather
     # scans, and the system-views test that materializes DMVs under churn)
-    # plus everything exercising the exchange, the relaxed-atomic metrics
+    # plus everything exercising the exchange, the hash join (every join,
+    # dop 1 included, goes through the shared build's EnsureBuilt and
+    # FinishProbeFragment), the relaxed-atomic metrics
     # registry, the Query Store's shared fingerprint map, and the query
     # tracer (lock-free span append from fragment threads, the active-query
     # registry, the slow-query ring), and the memory tracker (relaxed
     # charge/release from fragment threads, pressure listeners firing on
     # whichever thread lands the crossing charge); add "$@" to widen.
     ctest --test-dir "$dir" --output-on-failure \
-        -R 'exchange|executor|integration|tpch|parallel|metrics|system|query_store|sharded|wal|durable|trace|memory' "$@"
+        -R 'exchange|executor|integration|tpch|hash_join|parallel|metrics|system|query_store|sharded|wal|durable|trace|memory' "$@"
     ctest --test-dir "$dir" --output-on-failure -L stress "$@"
     # The expression fuzzer is single-threaded, but the bytecode program
     # cache it hits is the one shared across parallel fragments — keep the
